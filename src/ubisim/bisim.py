@@ -1,10 +1,17 @@
 """Greatest-fixpoint decision procedures.
 
-All relations here are computed by iterated pair removal from the full
-product of the state set: a round re-checks every surviving pair against
-the current set and drops the violating ones, until a round removes
-nothing.  Uncertain bisimilarity is not transitive, so partition
-refinement would be unsound; the pairwise loop is the algorithm of record.
+Uncertain bisimilarity, bisimilarity and ioco compatibility are greatest
+fixpoints on pairs of states.  Each is computed through its complement,
+the least fixpoint of "this pair is apart", by backward propagation: the
+pairs that break a clause on their own are seeded into a worklist, and
+each dead pair kills the pairs that reach it through a label (for ioco's
+existential output clause, once the last of their common outputs leads
+to a dead pair).  Every (pair, label) is visited at most once, so each
+relation costs O(n^2 * |labels|) for n states (Liu and Smolka, "Simple
+linear-time algorithms for minimal fixed points", ICALP 1998).
+Uncertain bisimilarity is not transitive, so partition refinement would
+be unsound; the pairwise propagation is the algorithm of record.  The
+round-based fixpoint `_shrink_rounds` stays as the tests' reference.
 
 `semantic_oracle_uncertain` is a deliberately separate decision path used
 to cross-check the fixpoint engine: it compares word semantics directly,
@@ -19,7 +26,7 @@ import logging
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
 from .lifting import in_uncertain_lifting
@@ -51,7 +58,8 @@ def _shrink_rounds(
     states: tuple[str, ...], violates: Callable[[str, str, frozenset], bool]
 ) -> Iterator[frozenset]:
     """Yield the pair set of every round, starting from the full product,
-    until a round removes nothing."""
+    until a round removes nothing.  Costs O(rounds * n^2 * |labels|); the
+    tests check the propagation engine below against it."""
     current = frozenset((x, y) for x in states for y in states)
     yield current
     while True:
@@ -62,63 +70,161 @@ def _shrink_rounds(
         yield current
 
 
-def _greatest(states, violates) -> frozenset:
-    final: frozenset = frozenset()
-    for final in _shrink_rounds(states, violates):
-        pass
-    return final
+def _predecessors(n: int, succ: list[int]) -> list[list[int]]:
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for x, d in enumerate(succ):
+        if d >= 0:
+            pred[d].append(x)
+    return pred
+
+
+def _dead_pairs(
+    n: int,
+    universal: Sequence[list[int]],
+    seeds: Iterable[int],
+    existential: Sequence[list[int]] = (),
+) -> bytearray:
+    """The complement of a greatest fixpoint on the pairs of states 0..n-1,
+    as a flag per pair indexed x*n+y.
+
+    Each label's successor array gives the state reached from every state,
+    or -1.  A pair dies when it is a seed; when a `universal` label leads
+    both its states to a dead pair; or, if there are `existential` labels,
+    when every such label both states share leads to a dead pair (or they
+    share none).  The dead pairs are a least fixpoint, found by propagating
+    each death backwards once: the pairs led to a dead (a, b) by a label
+    are pred[a] x pred[b], so over the whole run every (pair, label) is
+    visited at most once, O(n^2 * labels).  Beside the n^2 pair flags (and
+    support counts), the predecessor lists take O(n * labels) memory.
+    """
+    dead = bytearray(n * n)
+    queue: deque[int] = deque()
+    universal_preds = [_predecessors(n, succ) for succ in universal]
+    existential_preds = [_predecessors(n, succ) for succ in existential]
+    if existential:
+        # support: the shared existential labels whose successor pair lives
+        support = [0] * (n * n)
+        for succ in existential:
+            defined = [x for x in range(n) if succ[x] >= 0]
+            for x in defined:
+                row = x * n
+                for y in defined:
+                    support[row + y] += 1
+        seeds = itertools.chain(seeds, (p for p, c in enumerate(support) if not c))
+    push, pop = queue.append, queue.popleft
+    for p in seeds:
+        if not dead[p]:
+            dead[p] = 1
+            push(p)
+    while queue:
+        a, b = divmod(pop(), n)
+        for pred in universal_preds:
+            pa, pb = pred[a], pred[b]
+            if pa and pb:
+                for x in pa:
+                    row = x * n
+                    for y in pb:
+                        p = row + y
+                        if not dead[p]:
+                            dead[p] = 1
+                            push(p)
+        for pred in existential_preds:
+            pa, pb = pred[a], pred[b]
+            if pa and pb:
+                for x in pa:
+                    row = x * n
+                    for y in pb:
+                        p = row + y
+                        support[p] -= 1
+                        if not support[p] and not dead[p]:
+                            dead[p] = 1
+                            push(p)
+    return dead
+
+
+def _differing(n: int, keys: list) -> Iterator[int]:
+    """The pairs x*n+y of states whose keys differ, skipping None keys."""
+    groups: dict = {}
+    for x, k in enumerate(keys):
+        if k is not None:
+            groups.setdefault(k, []).append(x)
+    members = list(groups.values())
+    for g in members:
+        for h in members:
+            if g is not h:
+                for x in g:
+                    row = x * n
+                    for y in h:
+                        yield row + y
+
+
+def _mealy_dead(m: PartialMealyMachine, same_inputs: bool = False) -> bytearray:
+    """The pairs outside uncertain bisimilarity, or outside bisimilarity
+    with `same_inputs`.  Seeds are the pairs whose outputs differ on a
+    common input and, with `same_inputs`, those whose sets of defined
+    inputs differ."""
+    index = {s: k for k, s in enumerate(m.states)}
+    pos = {i: k for k, i in enumerate(m.inputs)}
+    n = len(m.states)
+    succ = [[-1] * n for _ in m.inputs]
+    out: list[list] = [[None] * n for _ in m.inputs]
+    for (src, i), (o, dst) in m.delta.items():
+        k, x = pos[i], index[src]
+        succ[k][x] = index[dst]
+        out[k][x] = o
+    seeds = [_differing(n, outputs) for outputs in out]
+    if same_inputs:
+        seeds.append(_differing(n, [tuple(s[x] >= 0 for s in succ) for x in range(n)]))
+    return _dead_pairs(n, succ, itertools.chain.from_iterable(seeds))
+
+
+def _flagged_pairs(states: tuple[str, ...], flags: bytes) -> frozenset:
+    """The pairs (states[x], states[y]) whose flag at x*n+y is 1."""
+    n = len(states)
+    return frozenset(
+        (x, y)
+        for k, x in enumerate(states)
+        for y in itertools.compress(states, flags[k * n:(k + 1) * n])
+    )
+
+
+# swaps the byte flags 0 and 1, turning dead pairs into surviving ones
+_FLIP = bytes([1, 0]) + bytes(254)
+
+
+def _surviving(states: tuple[str, ...], dead: bytearray) -> Relation:
+    return Relation.square(states, _flagged_pairs(states, dead.translate(_FLIP)))
 
 
 def uncertain_bisimilarity(m: PartialMealyMachine) -> Relation:
     """The greatest relation under which related states never conflict:
     whenever both have a transition on the same input, the outputs agree
     and the successors are related again."""
-
-    def violates(x: str, y: str, current: frozenset) -> bool:
-        for i in m.inputs:
-            dx, dy = m.delta.get((x, i)), m.delta.get((y, i))
-            if dx is not None and dy is not None:
-                if dx[0] != dy[0] or (dx[1], dy[1]) not in current:
-                    return True
-        return False
-
-    return Relation.square(m.states, _greatest(m.states, violates))
+    return _surviving(m.states, _mealy_dead(m))
 
 
 def bisimilarity(m: PartialMealyMachine) -> Relation:
     """Ordinary bisimilarity: related states must have transitions on
     exactly the same inputs, with equal outputs and related successors."""
-
-    def violates(x: str, y: str, current: frozenset) -> bool:
-        for i in m.inputs:
-            dx, dy = m.delta.get((x, i)), m.delta.get((y, i))
-            if (dx is None) != (dy is None):
-                return True
-            if dx is not None:
-                if dx[0] != dy[0] or (dx[1], dy[1]) not in current:
-                    return True
-        return False
-
-    return Relation.square(m.states, _greatest(m.states, violates))
+    return _surviving(m.states, _mealy_dead(m, same_inputs=True))
 
 
 def ioco_compatibility(a: SuspensionAutomaton) -> Relation:
     """The greatest relation on a suspension automaton under which related
     states agree on common-input futures and share at least one output
-    with related successors.  The existential output clause is re-checked
-    against the current iterate in every round."""
+    with related successors."""
+    index = {s: k for k, s in enumerate(a.states)}
+    n = len(a.states)
 
-    def violates(x: str, y: str, current: frozenset) -> bool:
-        for i in a.inputs:
-            dx, dy = a.din.get((x, i)), a.din.get((y, i))
-            if dx is not None and dy is not None and (dx, dy) not in current:
-                return True
-        return not any(
-            (x, o) in a.dout and (y, o) in a.dout and (a.dout[(x, o)], a.dout[(y, o)]) in current
-            for o in a.outputs
-        )
+    def successors(labels, trans):
+        pos = {label: k for k, label in enumerate(labels)}
+        succ = [[-1] * n for _ in labels]
+        for (src, label), dst in trans.items():
+            succ[pos[label]][index[src]] = index[dst]
+        return succ
 
-    return Relation.square(a.states, _greatest(a.states, violates))
+    dead = _dead_pairs(n, successors(a.inputs, a.din), (), successors(a.outputs, a.dout))
+    return _surviving(a.states, dead)
 
 
 def apartness_witness(m: PartialMealyMachine, x: str, y: str) -> Optional[ApartnessWitness]:

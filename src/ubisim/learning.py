@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .bisim import uncertain_bisimilarity
+from .bisim import _flagged_pairs, _mealy_dead
 from .errors import ContractError, ObservationConflictError, ValidationError
 from .machines import PartialMealyMachine
 from .morphisms import StateMap
@@ -171,13 +171,7 @@ def tree_apartness_frontier(tree: ObservationTree) -> Relation:
     uncertain bisimilarity on the tree's machine.  Recording further
     observations can only grow this relation."""
     machine = tree.as_machine()
-    compatible = uncertain_bisimilarity(machine)
-    apart = frozenset(
-        (x, y)
-        for x in machine.states
-        for y in machine.states
-        if (x, y) not in compatible
-    )
+    apart = _flagged_pairs(machine.states, _mealy_dead(machine))
     return Relation.square(machine.states, apart)
 
 

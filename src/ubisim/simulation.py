@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .bisim import apartness_witness, ioco_compatibility, uncertain_bisimilarity
+from .bisim import apartness_witness, ioco_compatibility
 from .errors import ContractError, ValidationError
 from .machines import (
     MealySuccessors,
@@ -353,9 +353,9 @@ def joint_simulator(m: Machine, x: str, y: str):
     m.check_state(x)
     m.check_state(y)
     if isinstance(m, PartialMealyMachine):
-        compatible = uncertain_bisimilarity(m)
-        if (x, y) not in compatible:
-            return apartness_witness(m, x, y)
+        witness = apartness_witness(m, x, y)
+        if witness is not None:
+            return witness
 
         def step(pair):
             u, v = pair

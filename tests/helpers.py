@@ -123,6 +123,26 @@ def random_sa(
     return SuspensionAutomaton(name, inputs, outputs, states, din, dout)
 
 
+def mealy_cycle(n: int) -> PartialMealyMachine:
+    """A one-input n-cycle that outputs x everywhere except y at the last
+    state: only the diagonal is uncertain bisimilar, and the round-based
+    fixpoint needs n rounds to find that."""
+    states = tuple(f"c{k}" for k in range(n))
+    delta = {
+        (states[k], "i"): ("y" if k == n - 1 else "x", states[(k + 1) % n]) for k in range(n)
+    }
+    return PartialMealyMachine("cyc", ("i",), ("x", "y"), states, delta)
+
+
+def sa_cycle(n: int) -> SuspensionAutomaton:
+    """The suspension-automaton twin of `mealy_cycle`: input a and output x
+    step around the cycle, the last state offers only y."""
+    states = tuple(f"c{k}" for k in range(n))
+    din = {(states[k], "a"): states[(k + 1) % n] for k in range(n)}
+    dout = {(states[k], "y" if k == n - 1 else "x"): states[(k + 1) % n] for k in range(n)}
+    return SuspensionAutomaton("sacyc", ("a",), ("x", "y"), states, din, dout)
+
+
 def mealy_corpus(count: int, seed: int = 20250801):
     """The randomized machine corpus shared by the bulk properties."""
     rng = random.Random(seed)

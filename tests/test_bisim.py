@@ -6,13 +6,17 @@ from helpers import (
     ioco_compatible_search,
     lax_chain,
     mealy_corpus,
+    mealy_cycle,
     quadruple,
     random_sa,
+    sa_cycle,
     sa_pair,
     words_up_to,
 )
 from ubisim import (
+    PartialMealyMachine,
     Relation,
+    SuspensionAutomaton,
     apartness_witness,
     bisimilarity,
     disjoint_union,
@@ -24,6 +28,53 @@ from ubisim import (
     uncertain_bisimilarity,
 )
 from ubisim.bisim import _shrink_rounds
+
+# ---------------------------------------------------------------------------
+# the defining clauses, restated for the round-based fixpoint: each says
+# whether pair (x, y) violates its relation's clause against `current`
+
+
+def uncertain_violates(m):
+    def violates(x, y, current):
+        for i in m.inputs:
+            dx, dy = m.delta.get((x, i)), m.delta.get((y, i))
+            if dx and dy and (dx[0] != dy[0] or (dx[1], dy[1]) not in current):
+                return True
+        return False
+
+    return violates
+
+
+def bisimilarity_violates(m):
+    def violates(x, y, current):
+        for i in m.inputs:
+            dx, dy = m.delta.get((x, i)), m.delta.get((y, i))
+            if (dx is None) != (dy is None):
+                return True
+            if dx and (dx[0] != dy[0] or (dx[1], dy[1]) not in current):
+                return True
+        return False
+
+    return violates
+
+
+def ioco_violates(a):
+    def violates(x, y, current):
+        for i in a.inputs:
+            dx, dy = a.din.get((x, i)), a.din.get((y, i))
+            if dx is not None and dy is not None and (dx, dy) not in current:
+                return True
+        return not any(
+            (x, o) in a.dout and (y, o) in a.dout and (a.dout[(x, o)], a.dout[(y, o)]) in current
+            for o in a.outputs
+        )
+
+    return violates
+
+
+def rounds_fixpoint(states, violates):
+    *_, final = _shrink_rounds(states, violates)
+    return final
 
 
 # ---------------------------------------------------------------------------
@@ -65,15 +116,7 @@ def test_non_transitivity_triple():
 
 def test_rounds_shrink_monotonically():
     *_, union = quadruple()
-
-    def violates(x, y, current):
-        for i in union.inputs:
-            dx, dy = union.delta.get((x, i)), union.delta.get((y, i))
-            if dx and dy and (dx[0] != dy[0] or (dx[1], dy[1]) not in current):
-                return True
-        return False
-
-    rounds = list(_shrink_rounds(union.states, violates))
+    rounds = list(_shrink_rounds(union.states, uncertain_violates(union)))
     assert len(rounds) >= 2
     for earlier, later in zip(rounds, rounds[1:]):
         assert later < earlier
@@ -276,18 +319,7 @@ def test_ioco_rounds_cascade():
     # first round; once (2, 6) is removed for lacking common outputs, the
     # second round takes (1, 4) with it
     C, _, _ = sa_pair()
-
-    def violates(x, y, current):
-        for i in C.inputs:
-            dx, dy = C.din.get((x, i)), C.din.get((y, i))
-            if dx is not None and dy is not None and (dx, dy) not in current:
-                return True
-        return not any(
-            (x, o) in C.dout and (y, o) in C.dout and (C.dout[(x, o)], C.dout[(y, o)]) in current
-            for o in C.outputs
-        )
-
-    rounds = list(_shrink_rounds(C.states, violates))
+    rounds = list(_shrink_rounds(C.states, ioco_violates(C)))
     assert ("2", "6") in rounds[0] and ("2", "6") not in rounds[1]
     assert ("1", "4") in rounds[1] and ("1", "4") not in rounds[2]
     assert rounds[-1] == ioco_compatibility(C).pairs
@@ -323,3 +355,45 @@ def test_ioco_non_transitive_search_reproduces():
     assert found is not None
     a, x, y, z = found
     assert relation_is_ioco_compatibility(a, ioco_compatibility(a))
+
+
+# ---------------------------------------------------------------------------
+# the propagation engine against the round-based fixpoint
+
+
+def test_engine_matches_rounds_on_mealy():
+    machines = list(mealy_corpus(200)) + [
+        mealy_cycle(30),
+        mealy_cycle(60),
+        PartialMealyMachine("one", ("a", "b"), ("x",), ("s",), {("s", "a"): ("x", "s")}),
+        PartialMealyMachine("none", ("a", "b"), ("x", "y"), ("s0", "s1", "s2"), {}),
+        PartialMealyMachine("empty", ("a",), ("x",), (), {}),
+    ]
+    for m in machines:
+        assert uncertain_bisimilarity(m).pairs == rounds_fixpoint(m.states, uncertain_violates(m))
+        assert bisimilarity(m).pairs == rounds_fixpoint(m.states, bisimilarity_violates(m))
+
+
+def test_engine_matches_rounds_on_sa():
+    rng = random.Random(4711)
+    automata = [random_sa(rng, rng.randint(1, 6)) for _ in range(100)]
+    automata += [
+        random_sa(rng, rng.randint(1, 8), inputs=("a", "b"), outputs=("u", "v", "w"))
+        for _ in range(100)
+    ]
+    automata += [
+        sa_cycle(30),
+        sa_cycle(60),
+        SuspensionAutomaton("one", ("a",), ("u",), ("s",), {}, {("s", "u"): "s"}),
+    ]
+    for a in automata:
+        assert ioco_compatibility(a).pairs == rounds_fixpoint(a.states, ioco_violates(a))
+
+
+def test_cycles_need_n_rounds():
+    # the cycles above are the round engine's worst case: the full product,
+    # then n - 1 rounds that each remove pairs
+    for n in (30, 60):
+        m, a = mealy_cycle(n), sa_cycle(n)
+        assert len(list(_shrink_rounds(m.states, uncertain_violates(m)))) == n
+        assert len(list(_shrink_rounds(a.states, ioco_violates(a)))) == n
