@@ -38,7 +38,6 @@ from .lifting import (
     in_lifting,
     in_uncertain_lifting,
     in_uncertain_lifting_enumerated,
-    map_structure,
     stability_check,
 )
 from .machines import (
@@ -50,6 +49,7 @@ from .machines import (
     SuspensionAutomaton,
     disjoint_union,
     eval_semantics,
+    map_structure,
     order_leq,
     run,
 )

@@ -101,6 +101,8 @@ class ObservationTree:
         for i in self.inputs:
             if "." in i:
                 raise ValidationError("input symbols must not contain '.'")
+            if i == ROOT_ID:
+                raise ValidationError(f"input symbol {i!r} would name the root")
         words = self.words()
         delta = {
             (node_id(prefix), i): (o, node_id(prefix + (i,)))

@@ -17,7 +17,16 @@ import itertools
 from typing import Mapping, Optional, Sequence
 
 from .errors import ContractError, EnumerationLimitError, ValidationError
-from .machines import MealySuccessors, PowSuccessors, Ref, SaSuccessors, Successors
+from .machines import (
+    MealySuccessors,
+    PowSuccessors,
+    Ref,
+    SaSuccessors,
+    Successors,
+    check_same_shape,
+    map_structure,
+    order_failures,
+)
 from .relations import Relation, inverse_image
 
 
@@ -34,15 +43,6 @@ def _check_refs(rel: Relation, *structs: Successors) -> None:
                 raise ContractError(f"successor {ref!r} is outside the relation's carrier")
 
 
-def _check_same_shape(t: Successors, s: Successors) -> None:
-    if type(t) is not type(s):
-        raise ContractError("successor structures must be of the same kind")
-    if isinstance(t, MealySuccessors) and t.inputs != s.inputs:
-        raise ContractError("input alphabets differ")
-    if isinstance(t, SaSuccessors) and (t.inputs != s.inputs or t.outputs != s.outputs):
-        raise ContractError("alphabets differ")
-
-
 def in_lifting(rel: Relation, t: Successors, s: Successors) -> bool:
     """Canonical lifting membership.
 
@@ -52,31 +52,15 @@ def in_lifting(rel: Relation, t: Successors, s: Successors) -> bool:
     has a partner in s and vice versa.
     """
     _check_square(rel)
-    _check_same_shape(t, s)
+    check_same_shape(t, s)
     _check_refs(rel, t, s)
-    if isinstance(t, MealySuccessors):
-        for te, se in zip(t.entries, s.entries):
-            if (te is None) != (se is None):
-                return False
-            if te is not None:
-                if te[0] != se[0] or (te[1], se[1]) not in rel.pairs:
-                    return False
-        return True
-    if isinstance(t, SaSuccessors):
-        # a witness must itself have a non-empty output part
-        if not t.has_output or not s.has_output:
-            return False
-        for te, se in zip(t.in_entries, s.in_entries):
-            if (te is None) != (se is None):
-                return False
-            if te is not None and (te, se) not in rel.pairs:
-                return False
-        for te, se in zip(t.out_entries, s.out_entries):
-            if (te is None) != (se is None):
-                return False
-            if te is not None and (te, se) not in rel.pairs:
-                return False
-        return True
+    if isinstance(t, SaSuccessors) and not (t.has_output and s.has_output):
+        return False  # a witness must itself have a non-empty output part
+    if not isinstance(t, PowSuccessors):
+        # each side's entries are matched by the other's, through rel
+        there = order_failures(t, s, lambda a, b: (a, b) in rel.pairs)
+        back = order_failures(s, t, lambda a, b: (b, a) in rel.pairs)
+        return next(there, None) is None and next(back, None) is None
     left_ok = all(any((x, y) in rel.pairs for y in s.elems) for x in t.elems)
     right_ok = all(any((x, y) in rel.pairs for x in t.elems) for y in s.elems)
     return left_ok and right_ok
@@ -94,7 +78,7 @@ def in_uncertain_lifting(rel: Relation, t: Successors, s: Successors) -> bool:
     every element needs some partner anywhere in the carrier.
     """
     _check_square(rel)
-    _check_same_shape(t, s)
+    check_same_shape(t, s)
     _check_refs(rel, t, s)
     if isinstance(t, MealySuccessors):
         dom, cod = rel.domain(), rel.codomain()
@@ -208,7 +192,7 @@ def in_uncertain_lifting_enumerated(
     of both sides that land in the canonical lifting.  Independent of
     `in_uncertain_lifting`; capped at small carriers."""
     _check_square(rel)
-    _check_same_shape(t, s)
+    check_same_shape(t, s)
     _check_refs(rel, t, s)
     if len(rel.left) > COMPLETION_CARRIER_CAP:
         raise EnumerationLimitError(
@@ -222,24 +206,7 @@ def in_uncertain_lifting_enumerated(
 
 
 # ---------------------------------------------------------------------------
-# structure relabelling and the stability check
-
-def map_structure(t: Successors, f: Mapping[Ref, Ref]) -> Successors:
-    """Apply a state map to all successor references of a structure."""
-    if isinstance(t, MealySuccessors):
-        return MealySuccessors(
-            t.inputs,
-            tuple(None if e is None else (e[0], f[e[1]]) for e in t.entries),
-        )
-    if isinstance(t, SaSuccessors):
-        return SaSuccessors(
-            t.inputs,
-            t.outputs,
-            tuple(None if e is None else f[e] for e in t.in_entries),
-            tuple(None if e is None else f[e] for e in t.out_entries),
-        )
-    return PowSuccessors(frozenset(f[x] for x in t.elems))
-
+# the stability check
 
 STABILITY_CARRIER_CAP = 3
 STABILITY_ALPHABET_CAP = 2

@@ -15,12 +15,19 @@ single state, detached from the machine.  Successor structures are ordered
 larger one as more behaviour gets observed.  For Mealy structures the order
 fills in unknown entries, for suspension structures inputs may be added and
 outputs removed, for powerset structures it is plain inclusion.
+
+The rest of the library works on machines through their structures, so the
+kind distinctions live here: `order_failures` lists the symbols at which
+one structure is not below another (with equality of successors, or any
+link between them), `map_structure` renames successors, and `assemble`
+builds a machine of a given kind from one structure per state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping, Optional, Sequence
+import operator
+from dataclasses import dataclass, replace
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ContractError, ValidationError
 
@@ -35,6 +42,22 @@ def _unique(items, what: str):
         if it in seen:
             raise ValidationError(f"duplicate {what}: {it!r}")
         seen.add(it)
+
+
+def distinct_names(names: Iterable[str]) -> list[str]:
+    """Make synthesized state names unique: each first occurrence is kept,
+    and each later repeat gets primes (') appended until it differs from
+    every given name and every name already chosen."""
+    names = list(names)
+    taken, chosen, out = set(names), set(), []
+    for n in names:
+        if n in chosen:
+            while n in taken:
+                n += "'"
+            taken.add(n)
+        chosen.add(n)
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +185,49 @@ class PowSuccessors:
 Successors = MealySuccessors | SaSuccessors | PowSuccessors
 
 
+def order_failures(
+    t: MealySuccessors | SaSuccessors,
+    s: MealySuccessors | SaSuccessors,
+    linked: Callable[[Ref, Ref], bool] = operator.eq,
+) -> Iterator[tuple[str, str]]:
+    """Yield ("in", symbol) or ("out", symbol) wherever t is not below s.
+
+    An entry of t is matched by s when s has an entry for the same symbol
+    with the same output (Mealy) and `linked(t's successor, s's successor)`.
+    Mealy: every known entry of t must be matched.  Suspension: t's inputs
+    must be matched by s, and s's outputs by t.  Inputs come in t's alphabet
+    order, then outputs in s's.  With equality as `linked`, no failure means
+    t is below s; with a relation, it is the one-step simulation condition.
+    """
+    if isinstance(t, MealySuccessors):
+        for i, e in zip(t.inputs, t.entries):
+            if e is not None:
+                se = s.entry(i)
+                if se is None or se[0] != e[0] or not linked(e[1], se[1]):
+                    yield "in", i
+    elif isinstance(t, SaSuccessors):
+        for a, e in zip(t.inputs, t.in_entries):
+            if e is not None:
+                se = s.input_entry(a)
+                if se is None or not linked(e, se):
+                    yield "in", a
+        for o, se in zip(s.outputs, s.out_entries):
+            if se is not None:
+                e = t.output_entry(o)
+                if e is None or not linked(e, se):
+                    yield "out", o
+    else:
+        raise ContractError(f"no per-symbol order on {type(t).__name__}")
+
+
+def check_same_shape(t: Successors, s: Successors) -> None:
+    """Refuse structures of different kinds or over different alphabets."""
+    if type(t) is not type(s):
+        raise ContractError("successor structures must be of the same kind")
+    if any(getattr(t, a, ()) != getattr(s, a, ()) for a in ("inputs", "outputs")):
+        raise ContractError("alphabets differ")
+
+
 def order_leq(t: Successors, s: Successors) -> bool:
     """Decide t below s in the successor-structure order of t's kind.
 
@@ -173,19 +239,27 @@ def order_leq(t: Successors, s: Successors) -> bool:
     Both arguments must be of the same kind over the same alphabets;
     callers are responsible for using a common successor carrier.
     """
-    if type(t) is not type(s):
-        raise ContractError("cannot compare successor structures of different kinds")
+    check_same_shape(t, s)
+    if isinstance(t, PowSuccessors):
+        return t.elems <= s.elems
+    return next(order_failures(t, s), None) is None
+
+
+def map_structure(t: Successors, f: Mapping[Ref, Ref]) -> Successors:
+    """Apply a state map to all successor references of a structure."""
     if isinstance(t, MealySuccessors):
-        if t.inputs != s.inputs:
-            raise ContractError("input alphabets differ")
-        return all(e is None or e == se for e, se in zip(t.entries, s.entries))
+        return MealySuccessors(
+            t.inputs,
+            tuple(None if e is None else (e[0], f[e[1]]) for e in t.entries),
+        )
     if isinstance(t, SaSuccessors):
-        if t.inputs != s.inputs or t.outputs != s.outputs:
-            raise ContractError("alphabets differ")
-        ins_ok = all(e is None or e == se for e, se in zip(t.in_entries, s.in_entries))
-        outs_ok = all(se is None or se == e for e, se in zip(t.out_entries, s.out_entries))
-        return ins_ok and outs_ok
-    return t.elems <= s.elems
+        return SaSuccessors(
+            t.inputs,
+            t.outputs,
+            tuple(None if e is None else f[e] for e in t.in_entries),
+            tuple(None if e is None else f[e] for e in t.out_entries),
+        )
+    return PowSuccessors(frozenset(f[x] for x in t.elems))
 
 
 # ---------------------------------------------------------------------------
@@ -369,36 +443,30 @@ def eval_semantics(machine: PartialMealyMachine, state: str, word: Sequence[str]
     word = tuple(word)
     if not word:
         raise ContractError("eval_semantics requires a non-empty word")
-    machine.check_state(state)
-    current = state
-    out: Optional[str] = None
-    for i in word:
-        if i not in machine.inputs:
-            raise ValidationError(f"unknown input symbol {i!r}")
-        step = machine.delta.get((current, i))
-        if step is None:
-            return None
-        out, current = step
-    return out
+    last = run(machine, state, word[:-1])
+    step = None if last is None else machine.transition(last, word[-1])
+    return None if step is None else step[0]
 
 
 # ---------------------------------------------------------------------------
-# disjoint unions
+# assembling machines, and disjoint unions
 
 
-def _union_prefixes(names: Sequence[str]) -> list[str]:
-    # a machine appearing several times gets numbered prefixes so the
-    # renamed states stay distinct
-    counts = {n: names.count(n) for n in names}
-    seen: dict[str, int] = {}
-    prefixes = []
-    for n in names:
-        if counts[n] == 1:
-            prefixes.append(n)
-        else:
-            seen[n] = seen.get(n, 0) + 1
-            prefixes.append(f"{n}{seen[n]}")
-    return prefixes
+def assemble(like, name: str, items: Iterable[tuple[str, Successors]]):
+    """A machine of `like`'s kind and alphabets with the given states, in
+    order, each with its successor structure over those states."""
+    items = list(items)
+    states = tuple(state for state, _ in items)
+    if isinstance(like, PartialMealyMachine):
+        delta = {(x, i): e for x, t in items for i, e in t.defined()}
+        return PartialMealyMachine(name, like.inputs, like.outputs, states, delta)
+    if isinstance(like, SuspensionAutomaton):
+        din = {(x, a): r for x, t in items for a, r in t.defined_inputs()}
+        dout = {(x, o): r for x, t in items for o, r in t.defined_outputs()}
+        return SuspensionAutomaton(name, like.inputs, like.outputs, states, din, dout)
+    if isinstance(like, PowersetSystem):
+        return PowersetSystem(name, states, {x: t.elems for x, t in items})
+    raise ContractError(f"unsupported machine kind {type(like).__name__}")
 
 
 def disjoint_union(first, second, *rest):
@@ -406,46 +474,31 @@ def disjoint_union(first, second, *rest):
     machine on the tagged union of their state sets.
 
     States are renamed to "<machineName>.<state>" so that witnesses stay
-    readable across machines.  Returns the combined machine and one rename
-    map per argument.
+    readable across machines; a machine given more than once gets numbered
+    names ("q1", "q2").  Where two renamed states would still coincide (a
+    state "b.c" of machine "a" and a state "c" of machine "a.b"), the later
+    one gets primes appended until its name is new ("a.b.c'").  Returns the
+    combined machine and one rename map per argument.
     """
     parts = [first, second, *rest]
     kind = type(first)
     if any(type(p) is not kind for p in parts):
         raise ContractError("disjoint union requires machines of the same kind")
-    if any(p.inputs != first.inputs for p in parts):
-        raise ContractError("disjoint union requires identical input alphabets")
-    if kind is not PowersetSystem and any(p.outputs != first.outputs for p in parts):
-        raise ContractError("disjoint union requires identical output alphabets")
+    if kind is not PowersetSystem:
+        if any(p.inputs != first.inputs for p in parts):
+            raise ContractError("disjoint union requires identical input alphabets")
+        if any(p.outputs != first.outputs for p in parts):
+            raise ContractError("disjoint union requires identical output alphabets")
 
-    prefixes = _union_prefixes([p.name for p in parts])
-    renames = [{s: f"{pre}.{s}" for s in p.states} for pre, p in zip(prefixes, parts)]
-    states = tuple(r[s] for p, r in zip(parts, renames) for s in p.states)
-    name = "+".join(p.name for p in parts)
-
-    if kind is PartialMealyMachine:
-        delta = {}
-        for p, r in zip(parts, renames):
-            for (src, i), (o, dst) in p.delta.items():
-                delta[(r[src], i)] = (o, r[dst])
-        combined = PartialMealyMachine(
-            name, first.inputs, first.outputs, states, delta,
-            total=all(p.total for p in parts),
-        )
-    elif kind is SuspensionAutomaton:
-        din, dout = {}, {}
-        for p, r in zip(parts, renames):
-            for (src, a), dst in p.din.items():
-                din[(r[src], a)] = r[dst]
-            for (src, o), dst in p.dout.items():
-                dout[(r[src], o)] = r[dst]
-        combined = SuspensionAutomaton(name, first.inputs, first.outputs, states, din, dout)
-    elif kind is PowersetSystem:
-        succ = {}
-        for p, r in zip(parts, renames):
-            for s in p.states:
-                succ[r[s]] = frozenset(r[t] for t in p.succ.get(s, frozenset()))
-        combined = PowersetSystem(name, states, succ)
-    else:  # pragma: no cover
-        raise ContractError(f"unsupported machine kind {kind.__name__}")
-    return combined, tuple(renames)
+    names = [p.name for p in parts]
+    prefixes = [n if names.count(n) == 1 else f"{n}{names[:k].count(n) + 1}" for k, n in enumerate(names)]
+    unique = iter(distinct_names(f"{pre}.{s}" for pre, p in zip(prefixes, parts) for s in p.states))
+    renames = tuple({s: next(unique) for s in p.states} for p in parts)
+    combined = assemble(
+        first,
+        "+".join(p.name for p in parts),
+        [(r[s], map_structure(p.successors(s), r)) for p, r in zip(parts, renames) for s in p.states],
+    )
+    if kind is PartialMealyMachine and all(p.total for p in parts):
+        combined = replace(combined, total=True)
+    return combined, renames

@@ -14,8 +14,13 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import ContractError, ValidationError
-from .machines import MealySuccessors, PartialMealyMachine, SuspensionAutomaton
-from .lifting import map_structure
+from .machines import (
+    PartialMealyMachine,
+    SuspensionAutomaton,
+    distinct_names,
+    map_structure,
+    order_failures,
+)
 from .relations import Relation, kernel_relation
 
 Machine = Union[PartialMealyMachine, SuspensionAutomaton]
@@ -75,27 +80,6 @@ class MorphismReport:
         return not self.violations
 
 
-def _leq_violations(state, small, big, note) -> list[Violation]:
-    """Pointwise reasons why `small` is not below `big` in the
-    successor-structure order."""
-    out = []
-    if isinstance(small, MealySuccessors):
-        for i, e in zip(small.inputs, small.entries):
-            be = big.entry(i)
-            if e is not None and e != be:
-                out.append(Violation(state, "in", i, note))
-        return out
-    for a, e in zip(small.inputs, small.in_entries):
-        be = big.input_entry(a)
-        if e is not None and e != be:
-            out.append(Violation(state, "in", a, note))
-    for o, be in zip(big.outputs, big.out_entries):
-        e = small.output_entry(o)
-        if be is not None and be != e:
-            out.append(Violation(state, "out", o, note))
-    return out
-
-
 def check_morphism(h: StateMap, kind: str) -> MorphismReport:
     """Check a state map as a strict, lax or oplax morphism.
 
@@ -105,22 +89,17 @@ def check_morphism(h: StateMap, kind: str) -> MorphismReport:
     """
     if kind not in KINDS:
         raise ContractError(f"unknown morphism kind {kind!r}")
-    violations: list[Violation] = []
-    seen = set()
+    found: dict[tuple[str, str, str], str] = {}
     for x in h.source.states:
         mapped = map_structure(h.source.successors(x), h.mapping)
         image = h.target.successors(h(x))
-        found: list[Violation] = []
         if kind in ("lax", "strict"):
-            found += _leq_violations(x, mapped, image, "not matched at image")
+            for side, symbol in order_failures(mapped, image):
+                found.setdefault((x, side, symbol), "not matched at image")
         if kind in ("oplax", "strict"):
-            found += _leq_violations(x, image, mapped, "not matched at source")
-        for v in found:
-            key = (v.state, v.side, v.symbol)
-            if key not in seen:
-                seen.add(key)
-                violations.append(v)
-    return MorphismReport(kind, tuple(violations))
+            for side, symbol in order_failures(image, mapped):
+                found.setdefault((x, side, symbol), "not matched at source")
+    return MorphismReport(kind, tuple(Violation(*key, note) for key, note in found.items()))
 
 
 def kernel(h: StateMap) -> Relation:
@@ -223,6 +202,11 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
     order).  Any class containing two states with a common input but
     different outputs yields a Conflict with the forcing chain; otherwise
     the quotient machine itself provides the identifying lax map.
+
+    Each quotient state is named by joining its class's members with "+".
+    Where such names coincide (merging a and b beside a state named a+b),
+    the later class in declaration order gets primes appended until its
+    name is new ("a+b'").
     """
     m.check_state(x)
     m.check_state(y)
@@ -267,7 +251,8 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
     class_list = sorted(
         (tuple(members) for members in classes.values()), key=lambda c: order[c[0]]
     )
-    names = {rep: "+".join(members) for rep, members in classes.items()}
+    class_names = distinct_names("+".join(c) for c in class_list)
+    names = {uf.find(c[0]): n for c, n in zip(class_list, class_names)}
     proj = {s: names[uf.find(s)] for s in m.states}
 
     delta: dict[tuple[str, str], tuple[str, str]] = {}
@@ -284,7 +269,7 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
         m.name + "-quotient",
         m.inputs,
         m.outputs,
-        tuple("+".join(c) for c in class_list),
+        tuple(class_names),
         delta,
     )
     projection = StateMap(m, quotient, proj)

@@ -11,11 +11,16 @@ alternates: inputs are matched left to right, outputs right to left.
 `joint_simulator` turns a compatible pair of states into a single state
 of a synthesized machine that simulates both; conversely, a pair with no
 joint simulator is provably apart.
+
+Everything here works on successor structures, so one code path serves
+both machine kinds.  Simulation checks are `order_failures` with the
+relation as the link between successors.  Span synthesis and joint
+simulators share one joining step, `_joint`: the structure of a pair of
+states over pairs of successors.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -26,6 +31,10 @@ from .machines import (
     PartialMealyMachine,
     SaSuccessors,
     SuspensionAutomaton,
+    assemble,
+    distinct_names,
+    map_structure,
+    order_failures,
     order_leq,
 )
 from .relations import Relation
@@ -61,31 +70,12 @@ def simulation_violation(
     """The first pair and symbol breaking the simulation conditions, or
     None when the relation is a simulation."""
     _check_rel(rel, src, dst)
-    if isinstance(src, PartialMealyMachine):
-        for x, z in rel.ordered_pairs():
-            for i in src.inputs:
-                dx = src.delta.get((x, i))
-                if dx is None:
-                    continue
-                dz = dst.delta.get((z, i))
-                if dz is None or dz[0] != dx[0] or (dx[1], dz[1]) not in rel.pairs:
-                    return (x, z, i)
-        return None
+    linked = lambda a, b: (a, b) in rel.pairs  # noqa: E731
+    left = {x: src.successors(x) for x in rel.domain()}
+    right = {z: dst.successors(z) for z in rel.codomain()}
     for x, z in rel.ordered_pairs():
-        for i in src.inputs:
-            dx = src.din.get((x, i))
-            if dx is None:
-                continue
-            dz = dst.din.get((z, i))
-            if dz is None or (dx, dz) not in rel.pairs:
-                return (x, z, i)
-        for o in dst.outputs:
-            dz = dst.dout.get((z, o))
-            if dz is None:
-                continue
-            dx = src.dout.get((x, o))
-            if dx is None or (dx, dz) not in rel.pairs:
-                return (x, z, o)
+        for _, symbol in order_failures(left[x], right[z], linked):
+            return (x, z, symbol)
     return None
 
 
@@ -121,21 +111,6 @@ class SimulationWitness:
             object.__setattr__(self, "structure", dict(self.structure))
 
 
-def _project(struct, k: int):
-    """Project a structure over pairs to one over plain states."""
-    if isinstance(struct, MealySuccessors):
-        return MealySuccessors(
-            struct.inputs,
-            tuple(None if e is None else (e[0], e[1][k]) for e in struct.entries),
-        )
-    return SaSuccessors(
-        struct.inputs,
-        struct.outputs,
-        tuple(None if e is None else e[k] for e in struct.in_entries),
-        tuple(None if e is None else e[k] for e in struct.out_entries),
-    )
-
-
 def witness_violations(w: SimulationWitness, src: Machine, dst: Machine) -> list[str]:
     """Validate a span witness against its declared style.  Returns a list
     of human-readable problems, empty when the witness checks out."""
@@ -151,8 +126,7 @@ def witness_violations(w: SimulationWitness, src: Machine, dst: Machine) -> list
         for ref in struct.refs():
             if ref not in w.relation.pairs:
                 problems.append(f"structure of {pair} leaves the relation at {ref}")
-        left = _project(struct, 0)
-        right = _project(struct, 1)
+        left, right = (map_structure(struct, {r: r[k] for r in struct.refs()}) for k in (0, 1))
         csrc = src.successors(pair[0])
         cdst = dst.successors(pair[1])
         if w.style == "openmap":
@@ -181,14 +155,12 @@ def hj_to_openmap(w: SimulationWitness, src: Machine, dst: Machine) -> Simulatio
     problems = witness_violations(w, src, dst)
     if problems:
         raise ContractError("witness does not validate: " + problems[0])
-    structure = {}
-    for pair, struct in w.structure.items():
-        csrc = src.successors(pair[0])
-        entries = tuple(
-            None if csrc.entries[k] is None else struct.entries[k]
-            for k in range(len(struct.entries))
-        )
-        structure[pair] = MealySuccessors(struct.inputs, entries)
+    structure = {
+        pair: MealySuccessors(t.inputs, tuple(
+            None if c is None else e for e, c in zip(t.entries, src.successors(pair[0]).entries)
+        ))
+        for pair, t in w.structure.items()
+    }
     return SimulationWitness(w.relation, structure, "openmap")
 
 
@@ -223,53 +195,60 @@ def synthesize_span_structure(machine: Machine, rel: Relation):
     if set(rel.left) - set(machine.states):
         raise ValidationError("relation carrier leaves the machine's state set")
 
-    mismatch: Optional[SpanFailure] = None
-    missing: Optional[SpanFailure] = None
+    related = lambda a, b: (a, b) in rel.pairs  # noqa: E731
+    first: dict[str, SpanFailure] = {}
     structure = {}
-    for x, y in rel.ordered_pairs():
-        if isinstance(machine, PartialMealyMachine):
-            entries = {}
-            for i in machine.inputs:
-                dx, dy = machine.delta.get((x, i)), machine.delta.get((y, i))
-                if dx is not None and dy is not None:
-                    if dx[0] != dy[0]:
-                        mismatch = mismatch or SpanFailure((x, y), i, "output-mismatch")
-                        continue
-                    if (dx[1], dy[1]) not in rel.pairs:
-                        missing = missing or SpanFailure((x, y), i, "successor-missing")
-                        continue
+    for pair in rel.ordered_pairs():
+        structure[pair], failures = _joint(machine, *pair, related)
+        for reason, symbol in failures:
+            first.setdefault(reason, SpanFailure(pair, symbol, reason))
+    return first.get("output-mismatch") or first.get("successor-missing") or structure
+
+
+def _joint(m: Machine, x: str, y: str, related):
+    """The joining structure of x and y over successor pairs, and where it
+    fails as (reason, symbol).
+
+    An input on which both states move yields the pair of successors, unless
+    the outputs differ ("output-mismatch") or the pair is not `related`
+    ("successor-missing"); an input on which one state moves duplicates its
+    successor.  Suspension outputs are kept where both states produce them
+    with `related` successors; keeping none is a failure on the symbol "".
+    """
+    failures = []
+    if isinstance(m, PartialMealyMachine):
+        entries = {}
+        for i in m.inputs:
+            dx, dy = m.delta.get((x, i)), m.delta.get((y, i))
+            if dx is not None and dy is not None:
+                if dx[0] != dy[0]:
+                    failures.append(("output-mismatch", i))
+                elif not related(dx[1], dy[1]):
+                    failures.append(("successor-missing", i))
+                else:
                     entries[i] = (dx[0], (dx[1], dy[1]))
-                elif dx is not None:
-                    entries[i] = (dx[0], (dx[1], dx[1]))
-                elif dy is not None:
-                    entries[i] = (dy[0], (dy[1], dy[1]))
-            structure[(x, y)] = MealySuccessors.make(machine.inputs, entries)
-        else:
-            ins, outs = {}, {}
-            for i in machine.inputs:
-                dx, dy = machine.din.get((x, i)), machine.din.get((y, i))
-                if dx is not None and dy is not None:
-                    if (dx, dy) not in rel.pairs:
-                        missing = missing or SpanFailure((x, y), i, "successor-missing")
-                        continue
-                    ins[i] = (dx, dy)
-                elif dx is not None:
-                    ins[i] = (dx, dx)
-                elif dy is not None:
-                    ins[i] = (dy, dy)
-            for o in machine.outputs:
-                dx, dy = machine.dout.get((x, o)), machine.dout.get((y, o))
-                if dx is not None and dy is not None and (dx, dy) in rel.pairs:
-                    outs[o] = (dx, dy)
-            if not outs:
-                missing = missing or SpanFailure((x, y), "", "successor-missing")
-                continue
-            structure[(x, y)] = SaSuccessors.make(machine.inputs, machine.outputs, ins, outs)
-    if mismatch is not None:
-        return mismatch
-    if missing is not None:
-        return missing
-    return structure
+            elif dx is not None or dy is not None:
+                o, d = dx or dy
+                entries[i] = (o, (d, d))
+        return MealySuccessors.make(m.inputs, entries), failures
+    ins, outs = {}, {}
+    for i in m.inputs:
+        dx, dy = m.din.get((x, i)), m.din.get((y, i))
+        if dx is not None and dy is not None:
+            if related(dx, dy):
+                ins[i] = (dx, dy)
+            else:
+                failures.append(("successor-missing", i))
+        elif dx is not None or dy is not None:
+            d = dx if dx is not None else dy
+            ins[i] = (d, d)
+    for o in m.outputs:
+        dx, dy = m.dout.get((x, o)), m.dout.get((y, o))
+        if dx is not None and dy is not None and related(dx, dy):
+            outs[o] = (dx, dy)
+    if not outs:
+        failures.append(("successor-missing", ""))
+    return SaSuccessors.make(m.inputs, m.outputs, ins, outs), failures
 
 
 # ---------------------------------------------------------------------------
@@ -290,55 +269,6 @@ class JointSimulator:
     right_witness: SimulationWitness
 
 
-def _join_reachable(step, start):
-    """Breadth-first closure of pair states under the joint dynamics."""
-    order = [start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        for nxt in step(pair):
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-    return order
-
-
-def _witnesses(m: Machine, join: Machine, carrier, left: bool) -> SimulationWitness:
-    """Span witness for 'the join state simulates its left (or right)
-    component': the structure follows the join machine's own transitions."""
-    k = 0 if left else 1
-    by_name = {pair_state(*p): p for p in carrier}
-    rel_pairs = [(pair[k], pair_state(*pair)) for pair in carrier]
-    rel = Relation(m.states, join.states, frozenset(rel_pairs))
-    structure = {}
-    for pair in carrier:
-        u = pair[k]
-        name = pair_state(*pair)
-        if isinstance(m, PartialMealyMachine):
-            entries = {}
-            for i in m.inputs:
-                dj = join.delta.get((name, i))
-                if dj is None:
-                    continue
-                o, succ_name = dj
-                entries[i] = (o, (by_name[succ_name][k], succ_name))
-            structure[(u, name)] = MealySuccessors.make(m.inputs, entries)
-        else:
-            ins, outs = {}, {}
-            for i in m.inputs:
-                dj = join.din.get((name, i))
-                if dj is not None:
-                    ins[i] = (by_name[dj][k], dj)
-            for o in m.outputs:
-                dj = join.dout.get((name, o))
-                if dj is not None:
-                    outs[o] = (by_name[dj][k], dj)
-            structure[(u, name)] = SaSuccessors.make(m.inputs, m.outputs, ins, outs)
-    return SimulationWitness(rel, structure, "hj")
-
-
 def joint_simulator(m: Machine, x: str, y: str):
     """Synthesize a single simulator for two states.
 
@@ -349,87 +279,41 @@ def joint_simulator(m: Machine, x: str, y: str):
     For suspension automata the same construction runs over the
     compatibility relation, keeping only common outputs whose successor
     pair is compatible; an incompatible pair yields None.
+
+    The joint state of u and v is named "(u|v)".  Where such names coincide
+    (the pairs (a|b, c) and (a, b|c)), the pair reached later in
+    breadth-first order gets primes appended until its name is new
+    ("(a|b|c)'"); the start pair keeps its plain name.
     """
     m.check_state(x)
     m.check_state(y)
     if isinstance(m, PartialMealyMachine):
-        witness = apartness_witness(m, x, y)
-        if witness is not None:
-            return witness
-
-        def step(pair):
-            u, v = pair
-            for i in m.inputs:
-                du, dv = m.delta.get((u, i)), m.delta.get((v, i))
-                if du is not None and dv is not None:
-                    yield (du[1], dv[1])
-                elif du is not None:
-                    yield (du[1], du[1])
-                elif dv is not None:
-                    yield (dv[1], dv[1])
-
-        carrier = _join_reachable(step, (x, y))
-        delta = {}
-        for u, v in carrier:
-            for i in m.inputs:
-                du, dv = m.delta.get((u, i)), m.delta.get((v, i))
-                if du is not None and dv is not None:
-                    delta[(pair_state(u, v), i)] = (du[0], pair_state(du[1], dv[1]))
-                elif du is not None:
-                    delta[(pair_state(u, v), i)] = (du[0], pair_state(du[1], du[1]))
-                elif dv is not None:
-                    delta[(pair_state(u, v), i)] = (dv[0], pair_state(dv[1], dv[1]))
-        join = PartialMealyMachine(
-            "join",
-            m.inputs,
-            m.outputs,
-            tuple(pair_state(u, v) for u, v in carrier),
-            delta,
-        )
+        apart = apartness_witness(m, x, y)
+        if apart is not None:
+            return apart
+        # a pair that is not apart agrees on every output it can reach
+        related = lambda u, v: True  # noqa: E731
     else:
         compatible = ioco_compatibility(m)
         if (x, y) not in compatible:
             return None
+        related = lambda u, v: (u, v) in compatible  # noqa: E731
 
-        def step(pair):
-            u, v = pair
-            for i in m.inputs:
-                du, dv = m.din.get((u, i)), m.din.get((v, i))
-                if du is not None and dv is not None:
-                    yield (du, dv)
-                elif du is not None:
-                    yield (du, du)
-                elif dv is not None:
-                    yield (dv, dv)
-            for o in m.outputs:
-                du, dv = m.dout.get((u, o)), m.dout.get((v, o))
-                if du is not None and dv is not None and (du, dv) in compatible:
-                    yield (du, dv)
+    structs = {}
+    queue = [(x, y)]
+    for pair in queue:  # breadth-first: the queue grows while it is read
+        if pair not in structs:
+            structs[pair] = _joint(m, *pair, related)[0]
+            queue.extend(structs[pair].refs())
+    names = dict(zip(structs, distinct_names(pair_state(*p) for p in structs)))
+    join = assemble(m, "join", [(names[p], map_structure(t, names)) for p, t in structs.items()])
 
-        carrier = _join_reachable(step, (x, y))
-        din, dout = {}, {}
-        for u, v in carrier:
-            for i in m.inputs:
-                du, dv = m.din.get((u, i)), m.din.get((v, i))
-                if du is not None and dv is not None:
-                    din[(pair_state(u, v), i)] = pair_state(du, dv)
-                elif du is not None:
-                    din[(pair_state(u, v), i)] = pair_state(du, du)
-                elif dv is not None:
-                    din[(pair_state(u, v), i)] = pair_state(dv, dv)
-            for o in m.outputs:
-                du, dv = m.dout.get((u, o)), m.dout.get((v, o))
-                if du is not None and dv is not None and (du, dv) in compatible:
-                    dout[(pair_state(u, v), o)] = pair_state(du, dv)
-        join = SuspensionAutomaton(
-            "join",
-            m.inputs,
-            m.outputs,
-            tuple(pair_state(u, v) for u, v in carrier),
-            din,
-            dout,
-        )
+    def witness(k: int) -> SimulationWitness:
+        # "the join state simulates its k-th component", following the
+        # join machine's own transitions
+        f = {p: (p[k], names[p]) for p in structs}
+        rel = Relation(m.states, join.states, frozenset(f.values()))
+        return SimulationWitness(rel, {f[p]: map_structure(t, f) for p, t in structs.items()}, "hj")
 
-    lw = _witnesses(m, join, carrier, left=True)
-    rw = _witnesses(m, join, carrier, left=False)
-    return JointSimulator(join, pair_state(x, y), lw.relation, rw.relation, lw, rw)
+    lw, rw = witness(0), witness(1)
+    return JointSimulator(join, names[(x, y)], lw.relation, rw.relation, lw, rw)

@@ -83,6 +83,19 @@ def test_cross_machine_addressing_forms_union():
     assert "q.q0+p.p0" in out
 
 
+def test_identify_beside_a_plus_named_state(tmp_path):
+    # merging a and b forms the class "a+b", which is also a state's name
+    path = tmp_path / "plus.txt"
+    path.write_text(
+        "mealy m\ninputs i\noutputs x\nstates a b a+b\n"
+        "trans a i x a\ntrans b i x b\ntrans a+b i x a+b\n"
+    )
+    code, out = run_cli(["identify", str(path), "m:a", "m:b"])
+    assert code == 0
+    assert out.startswith("QUOTIENT\n")
+    assert "states a+b a+b'\n" in out
+
+
 def test_restrict_refuses_suspension_automata(tmp_path, capsys):
     doc = (
         "sa A\ninputs a\noutputs o\nstates s\nitrans s a s\notrans s o s\n\n"

@@ -111,6 +111,13 @@ def test_record_length_mismatch():
         tree.record(("i",), ("a", "a"))
 
 
+def test_input_named_like_the_root_is_refused():
+    # the access word ("ε",) would get the root's id
+    tree = ObservationTree.empty(("ε", "a"), ("x",)).record(("ε",), ("x",))
+    with pytest.raises(ValidationError, match="root"):
+        tree.as_machine()
+
+
 # ---------------------------------------------------------------------------
 # the apartness frontier
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     conflict_machine,
@@ -25,6 +27,7 @@ from ubisim import (
     run,
 )
 from ubisim.lifting import all_mealy_successors, all_pow_successors, all_sa_successors
+from ubisim.machines import distinct_names
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +244,46 @@ def test_sa_union():
     assert len(combined.states) == len(C.states) + len(D.states)
     assert combined.din[(rc["1"], "a")] == rc["3"]
     assert combined.dout[(rd["1'"], "x")] == rd["2'"]
+
+
+def test_powerset_union():
+    left = PowersetSystem("n", ("a", "b"), {"a": {"a", "b"}})
+    right = PowersetSystem("k", ("a",), {"a": {"a"}})
+    combined, (rn, rk) = disjoint_union(left, right)
+    assert rn == {"a": "n.a", "b": "n.b"}
+    assert rk == {"a": "k.a"}
+    assert combined.states == ("n.a", "n.b", "k.a")
+    assert combined.succ == {
+        "n.a": frozenset({"n.a", "n.b"}),
+        "n.b": frozenset(),
+        "k.a": frozenset({"k.a"}),
+    }
+
+
+def test_union_names_never_collide():
+    # "a" + "." + "b.c" and "a.b" + "." + "c" spell the same name
+    first = PartialMealyMachine("a", ("i",), ("o",), ("b.c",), {("b.c", "i"): ("o", "b.c")})
+    second = PartialMealyMachine("a.b", ("i",), ("o",), ("c",), {})
+    combined, (r1, r2) = disjoint_union(first, second)
+    assert (r1["b.c"], r2["c"]) == ("a.b.c", "a.b.c'")
+    assert combined.states == ("a.b.c", "a.b.c'")
+    assert combined.delta == {("a.b.c", "i"): ("o", "a.b.c")}
+
+
+def test_distinct_names_examples():
+    assert distinct_names(["x", "y", "x", "x'"]) == ["x", "y", "x''", "x'"]
+    assert distinct_names([]) == []
+
+
+@given(st.lists(st.sampled_from(["a", "a'", "a''", "b", "b'", "a+b", ""]), max_size=12))
+def test_distinct_names_properties(names):
+    out = distinct_names(names)
+    assert len(out) == len(names)
+    assert len(set(out)) == len(out)
+    firsts = {}
+    for k, n in enumerate(names):
+        firsts.setdefault(n, k)
+    for n, k in firsts.items():
+        assert out[k] == n
+    if len(set(names)) == len(names):
+        assert out == names

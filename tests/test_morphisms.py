@@ -206,6 +206,21 @@ def test_identify_quadruple_pair():
     assert check_morphism(result.projection, "lax").ok
 
 
+def test_identify_names_never_collide():
+    # merging a and b names the class "a+b", the name of the third state
+    m = PartialMealyMachine(
+        "m", ("i",), ("x", "y"), ("a", "b", "a+b"),
+        {("a", "i"): ("x", "a"), ("b", "i"): ("x", "b"), ("a+b", "i"): ("y", "a+b")},
+    )
+    result = lax_identify(m, "a", "b")
+    assert isinstance(result, Quotient)
+    assert result.classes == (("a", "b"), ("a+b",))
+    assert result.machine.states == ("a+b", "a+b'")
+    assert result.projection.mapping == {"a": "a+b", "b": "a+b", "a+b": "a+b'"}
+    assert result.machine.delta == {("a+b", "i"): ("x", "a+b"), ("a+b'", "i"): ("y", "a+b'")}
+    assert check_morphism(result.projection, "lax").ok
+
+
 def test_identify_quotient_implies_compatible():
     rng = random.Random(23)
     checked = 0

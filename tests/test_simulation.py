@@ -218,6 +218,25 @@ def test_sa_joint_simulator():
     assert joint_simulator(C, "1", "6") is None
 
 
+def test_joint_names_never_collide():
+    # the pairs (a|b, c) and (a, b|c) both spell "(a|b|c)"
+    cycle = {"a|b": "a", "a": "c", "c": "b|c", "b|c": "a|b"}
+    m = PartialMealyMachine(
+        "m", ("i", "j"), ("o",), tuple(cycle),
+        {(s, i): ("o", t) for s, t in cycle.items() for i in ("i", "j")},
+    )
+    joint = joint_simulator(m, "a|b", "c")
+    assert isinstance(joint, JointSimulator)
+    assert joint.state == "(a|b|c)"
+    assert joint.machine.states == ("(a|b|c)", "(a|b|c)'", "(c|a|b)", "(b|c|a)")
+    assert joint.machine.delta[("(a|b|c)", "i")] == ("o", "(a|b|c)'")
+    assert joint.machine.delta[("(b|c|a)", "j")] == ("o", "(a|b|c)")
+    assert check_simulation(joint.left, m, joint.machine)
+    assert check_simulation(joint.right, m, joint.machine)
+    assert witness_violations(joint.left_witness, m, joint.machine) == []
+    assert witness_violations(joint.right_witness, m, joint.machine) == []
+
+
 def test_hj_to_openmap_drops_extra_entries():
     # source u has no transitions at all; a span may still step, and the
     # conversion must delete that entry to make the left projection exact
