@@ -13,17 +13,20 @@ Uncertain bisimilarity is not transitive, so partition refinement would
 be unsound; the pairwise propagation is the algorithm of record.  The
 round-based fixpoint `_shrink_rounds` stays as the tests' reference.
 
+The engines read each machine's dense successor arrays from its
+`tables()`, over the state positions the machine numbered when it was
+built.
+
 `semantic_oracle_uncertain` is a deliberately separate decision path used
-to cross-check the fixpoint engine: it compares word semantics directly,
-either by exhaustive word enumeration (within a budget) or by a search of
-the both-defined product graph.
+to cross-check the fixpoint engine: it compares word semantics directly by
+exhaustive word enumeration.  Past its word budget it falls back to the
+product breadth-first search of `apartness_witness`.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -36,7 +39,6 @@ from .relations import Relation
 log = logging.getLogger(__name__)
 
 DEFAULT_ORACLE_BUDGET = 20_000
-ORACLE_BUDGET_ENV = "UBISIM_ORACLE_BUDGET"
 
 
 @dataclass(frozen=True)
@@ -163,15 +165,8 @@ def _mealy_dead(m: PartialMealyMachine, same_inputs: bool = False) -> bytearray:
     with `same_inputs`.  Seeds are the pairs whose outputs differ on a
     common input and, with `same_inputs`, those whose sets of defined
     inputs differ."""
-    index = {s: k for k, s in enumerate(m.states)}
-    pos = {i: k for k, i in enumerate(m.inputs)}
     n = len(m.states)
-    succ = [[-1] * n for _ in m.inputs]
-    out: list[list] = [[None] * n for _ in m.inputs]
-    for (src, i), (o, dst) in m.delta.items():
-        k, x = pos[i], index[src]
-        succ[k][x] = index[dst]
-        out[k][x] = o
+    succ, out = m.tables()
     seeds = [_differing(n, outputs) for outputs in out]
     if same_inputs:
         seeds.append(_differing(n, [tuple(s[x] >= 0 for s in succ) for x in range(n)]))
@@ -213,18 +208,8 @@ def ioco_compatibility(a: SuspensionAutomaton) -> Relation:
     """The greatest relation on a suspension automaton under which related
     states agree on common-input futures and share at least one output
     with related successors."""
-    index = {s: k for k, s in enumerate(a.states)}
-    n = len(a.states)
-
-    def successors(labels, trans):
-        pos = {label: k for k, label in enumerate(labels)}
-        succ = [[-1] * n for _ in labels]
-        for (src, label), dst in trans.items():
-            succ[pos[label]][index[src]] = index[dst]
-        return succ
-
-    dead = _dead_pairs(n, successors(a.inputs, a.din), (), successors(a.outputs, a.dout))
-    return _surviving(a.states, dead)
+    ins, outs = a.tables()
+    return _surviving(a.states, _dead_pairs(len(a.states), ins, (), outs))
 
 
 def apartness_witness(m: PartialMealyMachine, x: str, y: str) -> Optional[ApartnessWitness]:
@@ -254,27 +239,19 @@ def apartness_witness(m: PartialMealyMachine, x: str, y: str) -> Optional[Apartn
     return None
 
 
-def _oracle_budget(budget: Optional[int]) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get(ORACLE_BUDGET_ENV, DEFAULT_ORACLE_BUDGET))
-
-
 def semantic_oracle_uncertain(
-    m: PartialMealyMachine, x: str, y: str, budget: Optional[int] = None
+    m: PartialMealyMachine, x: str, y: str, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> bool:
     """Decide compatibility of x and y at the level of word semantics.
 
     Enumerates every word up to length |states|^2 and requires agreement
     whenever both semantics are defined.  When the word count exceeds the
-    budget (parameter, else the UBISIM_ORACLE_BUDGET environment variable,
-    else a default), falls back to a reachability search of the
-    both-defined product graph and logs that it did so.
+    budget, falls back to the product search of `apartness_witness` and
+    logs that it did so.
     """
     m.check_state(x)
     m.check_state(y)
     max_len = len(m.states) ** 2
-    budget = _oracle_budget(budget)
     n = len(m.inputs)
     total, power = 0, 1
     for _ in range(max_len):
@@ -295,22 +272,7 @@ def semantic_oracle_uncertain(
         "oracle word budget exceeded (%d > %d); using product-graph reachability",
         total, budget,
     )
-    # both-defined product reachability: a conflicting edge refutes
-    stack = [(x, y)]
-    seen = {(x, y)}
-    while stack:
-        u, v = stack.pop()
-        for i in m.inputs:
-            du, dv = m.delta.get((u, i)), m.delta.get((v, i))
-            if du is None or dv is None:
-                continue
-            if du[0] != dv[0]:
-                return False
-            nxt = (du[1], dv[1])
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return True
+    return apartness_witness(m, x, y) is None
 
 
 def relation_is_uncertain_bisimulation(m: PartialMealyMachine, rel: Relation) -> bool:

@@ -21,6 +21,11 @@ kind distinctions live here: `order_failures` lists the symbols at which
 one structure is not below another (with equality of successors, or any
 link between them), `map_structure` renames successors, and `assemble`
 builds a machine of a given kind from one structure per state.
+
+Each machine numbers its states once, when it is built: `index` maps each
+state to its position in `states`.  State checks look it up, and `tables()`
+gives the transitions as dense arrays over those positions.  `index` is not
+a dataclass field: it takes no part in `repr` or `==`, and `replace` renews it.
 """
 
 from __future__ import annotations
@@ -36,12 +41,23 @@ from .errors import ContractError, ValidationError
 Ref = Hashable
 
 
-def _unique(items, what: str):
-    seen = set()
-    for it in items:
-        if it in seen:
+def _unique(items, what: str) -> dict:
+    """Each item's position; refuses repeats."""
+    index: dict = {}
+    for k, it in enumerate(items):
+        if index.setdefault(it, k) != k:
             raise ValidationError(f"duplicate {what}: {it!r}")
-        seen.add(it)
+    return index
+
+
+def _table(index: Mapping[str, int], labels, trans: Mapping, cell: Callable, empty) -> list[list]:
+    """Per label, `cell` of each state's transition entry in `trans` (keyed
+    by (state, label)) at the state's position, `empty` where it has none."""
+    pos = {label: k for k, label in enumerate(labels)}
+    rows = [[empty] * len(index) for _ in labels]
+    for (src, label), entry in trans.items():
+        rows[pos[label]][index[src]] = cell(entry)
+    return rows
 
 
 def distinct_names(names: Iterable[str]) -> list[str]:
@@ -272,7 +288,8 @@ class PartialMealyMachine:
 
     `delta` maps (state, input) to (output, successor); absent keys are the
     unknown transitions.  A machine constructed with total=True must have
-    delta defined on all of states x inputs.
+    delta defined on all of states x inputs.  `index` maps each state to
+    its position in `states`.
     """
 
     name: str
@@ -289,16 +306,15 @@ class PartialMealyMachine:
         object.__setattr__(self, "delta", dict(self.delta))
         _unique(self.inputs, "input symbol")
         _unique(self.outputs, "output symbol")
-        _unique(self.states, "state")
-        states = set(self.states)
+        object.__setattr__(self, "index", _unique(self.states, "state"))
         for (src, i), (o, dst) in self.delta.items():
-            if src not in states:
+            if src not in self.index:
                 raise ValidationError(f"transition from unknown state {src!r}")
             if i not in self.inputs:
                 raise ValidationError(f"transition on unknown input {i!r}")
             if o not in self.outputs:
                 raise ValidationError(f"transition with unknown output {o!r}")
-            if dst not in states:
+            if dst not in self.index:
                 raise ValidationError(f"transition to unknown state {dst!r}")
         if self.total:
             for s in self.states:
@@ -309,7 +325,7 @@ class PartialMealyMachine:
                         )
 
     def check_state(self, state: str) -> None:
-        if state not in self.states:
+        if state not in self.index:
             raise ValidationError(f"unknown state {state!r} in machine {self.name!r}")
 
     def transition(self, state: str, i: str) -> Optional[tuple[str, str]]:
@@ -324,12 +340,22 @@ class PartialMealyMachine:
             self.inputs, tuple(self.delta.get((state, i)) for i in self.inputs)
         )
 
+    def tables(self) -> tuple[list[list[int]], list[list[Optional[str]]]]:
+        """Per input, each state's successor position (-1 when unknown) and
+        output (None when unknown), as [input][state]; built on every call."""
+        index = self.index
+        return (
+            _table(index, self.inputs, self.delta, lambda e: index[e[1]], -1),
+            _table(index, self.inputs, self.delta, lambda e: e[0], None),
+        )
+
 
 @dataclass(frozen=True)
 class SuspensionAutomaton:
     """A finite suspension automaton: partial input successors `din`, partial
     output successors `dout`, with every state non-blocking (at least one
-    output transition)."""
+    output transition).  `index` maps each state to its position in
+    `states`."""
 
     name: str
     inputs: tuple[str, ...]
@@ -346,15 +372,14 @@ class SuspensionAutomaton:
         object.__setattr__(self, "dout", dict(self.dout))
         _unique(self.inputs, "input symbol")
         _unique(self.outputs, "output symbol")
-        _unique(self.states, "state")
-        states = set(self.states)
+        object.__setattr__(self, "index", _unique(self.states, "state"))
         for (src, a), dst in self.din.items():
-            if src not in states or dst not in states:
+            if src not in self.index or dst not in self.index:
                 raise ValidationError(f"input transition {src!r} -{a}-> {dst!r} uses unknown state")
             if a not in self.inputs:
                 raise ValidationError(f"input transition on unknown symbol {a!r}")
         for (src, o), dst in self.dout.items():
-            if src not in states or dst not in states:
+            if src not in self.index or dst not in self.index:
                 raise ValidationError(f"output transition {src!r} -{o}-> {dst!r} uses unknown state")
             if o not in self.outputs:
                 raise ValidationError(f"output transition on unknown symbol {o!r}")
@@ -363,20 +388,8 @@ class SuspensionAutomaton:
                 raise ValidationError(f"blocking state {s!r}: no output transition")
 
     def check_state(self, state: str) -> None:
-        if state not in self.states:
+        if state not in self.index:
             raise ValidationError(f"unknown state {state!r} in automaton {self.name!r}")
-
-    def input_transition(self, state: str, a: str) -> Optional[str]:
-        self.check_state(state)
-        if a not in self.inputs:
-            raise ValidationError(f"unknown input symbol {a!r}")
-        return self.din.get((state, a))
-
-    def output_transition(self, state: str, o: str) -> Optional[str]:
-        self.check_state(state)
-        if o not in self.outputs:
-            raise ValidationError(f"unknown output symbol {o!r}")
-        return self.dout.get((state, o))
 
     def successors(self, state: str) -> SaSuccessors:
         self.check_state(state)
@@ -387,11 +400,18 @@ class SuspensionAutomaton:
             tuple(self.dout.get((state, o)) for o in self.outputs),
         )
 
+    def tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per input, then per output, each state's successor position (-1
+        when there is none), as [label][state]; built on every call."""
+        index, at = self.index, self.index.__getitem__
+        return _table(index, self.inputs, self.din, at, -1), _table(index, self.outputs, self.dout, at, -1)
+
 
 @dataclass(frozen=True)
 class PowersetSystem:
     """A finitely branching successor system: each state maps to a finite
-    set of successor states."""
+    set of successor states.  `index` maps each state to its position in
+    `states`."""
 
     name: str
     states: tuple[str, ...]
@@ -402,14 +422,13 @@ class PowersetSystem:
         object.__setattr__(
             self, "succ", {s: frozenset(v) for s, v in dict(self.succ).items()}
         )
-        _unique(self.states, "state")
-        states = set(self.states)
+        object.__setattr__(self, "index", _unique(self.states, "state"))
         for s, nexts in self.succ.items():
-            if s not in states or not nexts <= states:
+            if s not in self.index or not nexts <= self.index.keys():
                 raise ValidationError(f"successor set of {s!r} leaves the state set")
 
     def successors(self, state: str) -> PowSuccessors:
-        if state not in self.states:
+        if state not in self.index:
             raise ValidationError(f"unknown state {state!r} in system {self.name!r}")
         return PowSuccessors(self.succ.get(state, frozenset()))
 

@@ -50,9 +50,9 @@ class StateMap:
             if s not in self.mapping:
                 raise ValidationError(f"map is not total: missing {s!r}")
         for s, t in self.mapping.items():
-            if s not in self.source.states:
+            if s not in self.source.index:
                 raise ValidationError(f"map defined on unknown state {s!r}")
-            if t not in self.target.states:
+            if t not in self.target.index:
                 raise ValidationError(f"map sends {s!r} outside the target")
 
     def __call__(self, state: str) -> str:
@@ -210,7 +210,6 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
     """
     m.check_state(x)
     m.check_state(y)
-    order = {s: k for k, s in enumerate(m.states)}
     uf = _UnionFind(m.states)
     merges: list[MergeStep] = []
     queue: deque[tuple[str, str, tuple[str, ...]]] = deque()
@@ -224,7 +223,7 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
         # the generating pair goes first, the rest in declaration order
         cross = sorted(
             ((u, v) for u in uf.members[ra] for v in uf.members[rb]),
-            key=lambda p: (order[p[0]], order[p[1]]),
+            key=lambda p: (m.index[p[0]], m.index[p[1]]),
         )
         uf.union(ra, rb)
         queue.append((a, b, word))
@@ -249,7 +248,7 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
     for s in m.states:
         classes.setdefault(uf.find(s), []).append(s)
     class_list = sorted(
-        (tuple(members) for members in classes.values()), key=lambda c: order[c[0]]
+        (tuple(members) for members in classes.values()), key=lambda c: m.index[c[0]]
     )
     class_names = distinct_names("+".join(c) for c in class_list)
     names = {uf.find(c[0]): n for c, n in zip(class_list, class_names)}

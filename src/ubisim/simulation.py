@@ -41,14 +41,13 @@ from .relations import Relation
 
 Machine = Union[PartialMealyMachine, SuspensionAutomaton]
 
-STYLES = {"hj": "hj", "hughes-jacobs": "hj", "openmap": "openmap", "open-map": "openmap"}
+STYLES = ("hj", "openmap")
 
 
 def _style(style: str) -> str:
-    try:
-        return STYLES[style]
-    except KeyError:
-        raise ContractError(f"unknown simulation style {style!r}") from None
+    if style not in STYLES:
+        raise ContractError(f"unknown simulation style {style!r}")
+    return style
 
 
 def pair_state(u: str, v: str) -> str:

@@ -178,9 +178,9 @@ class _PairsBuilder:
         if key != "pair" or len(args) != 2:
             raise ParseError(f"expected 'pair <s> <t>' in a {self.kind} section", line)
         s, t = args
-        if s not in self.machines[self.left].states:
+        if s not in self.machines[self.left].index:
             raise ParseError(f"undeclared state {s!r} in machine {self.left!r}", line)
-        if t not in self.machines[self.right].states:
+        if t not in self.machines[self.right].index:
             raise ParseError(f"undeclared state {t!r} in machine {self.right!r}", line)
         if self.kind == "map" and any(p[0] == s for p in self.pairs):
             raise ParseError(f"duplicate map entry for {s!r}", line)

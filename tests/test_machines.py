@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from helpers import (
     conflict_machine,
     lax_chain,
+    mealy_corpus,
     quadruple,
     random_partial_mealy,
+    random_sa,
     sa_pair,
     words_up_to,
 )
@@ -19,6 +22,7 @@ from ubisim import (
     PowSuccessors,
     PowersetSystem,
     SaSuccessors,
+    StateMap,
     SuspensionAutomaton,
     ValidationError,
     disjoint_union,
@@ -61,6 +65,102 @@ def test_powerset_validation():
     PowersetSystem("n", ("a", "b"), {"a": {"b"}})
     with pytest.raises(ValidationError):
         PowersetSystem("n", ("a",), {"a": {"zzz"}})
+
+
+# ---------------------------------------------------------------------------
+# the state index and the dense tables
+
+
+def _index_samples():
+    C, D, _ = sa_pair()
+    return [
+        *quadruple(),
+        conflict_machine(),
+        C,
+        D,
+        PowersetSystem("n", ("a", "b", "c"), {"a": {"b"}, "c": {"a", "c"}}),
+        PartialMealyMachine("empty", ("i",), ("o",), (), {}),
+    ]
+
+
+def test_index_numbers_states_in_order():
+    for m in _index_samples():
+        assert m.index == {s: m.states.index(s) for s in m.states}
+
+
+def test_mealy_tables_agree_with_delta():
+    for m in list(mealy_corpus(100)) + list(quadruple()):
+        succ, out = m.tables()
+        assert len(succ) == len(out) == len(m.inputs)
+        for k, i in enumerate(m.inputs):
+            assert len(succ[k]) == len(out[k]) == len(m.states)
+            for x, s in enumerate(m.states):
+                e = m.delta.get((s, i))
+                assert succ[k][x] == (-1 if e is None else m.states.index(e[1]))
+                assert out[k][x] == (None if e is None else e[0])
+
+
+def test_sa_tables_agree_with_din_and_dout():
+    rng = random.Random(7)
+    C, D, _ = sa_pair()
+    automata = [C, D] + [
+        random_sa(rng, rng.randint(1, 8), ("a", "b")[: rng.randint(1, 2)], ("u", "v", "w")[: rng.randint(2, 3)])
+        for _ in range(100)
+    ]
+    for a in automata:
+        ins, outs = a.tables()
+        for labels, trans, rows in ((a.inputs, a.din, ins), (a.outputs, a.dout, outs)):
+            assert len(rows) == len(labels)
+            for k, label in enumerate(labels):
+                expected = [trans.get((s, label)) for s in a.states]
+                assert rows[k] == [-1 if d is None else a.states.index(d) for d in expected]
+
+
+def test_index_is_not_a_field():
+    assert [f.name for f in dataclasses.fields(PartialMealyMachine)] == [
+        "name", "inputs", "outputs", "states", "delta", "total"
+    ]
+    assert [f.name for f in dataclasses.fields(SuspensionAutomaton)] == [
+        "name", "inputs", "outputs", "states", "din", "dout"
+    ]
+    assert [f.name for f in dataclasses.fields(PowersetSystem)] == ["name", "states", "succ"]
+    for m in _index_samples():
+        assert "index" not in repr(m)
+
+
+def test_equal_machines_compare_equal():
+    for build in (quadruple, sa_pair):
+        assert build() == build()
+    first = PowersetSystem("n", ("a", "b"), {"a": {"b"}})
+    assert first == PowersetSystem("n", ["a", "b"], {"a": ["b"]})
+    assert first != PowersetSystem("n", ("b", "a"), {"a": {"b"}})
+
+
+def test_replace_builds_a_fresh_index():
+    _, q, _, _, _ = quadruple()
+    swapped = dataclasses.replace(q, states=tuple(reversed(q.states)))
+    assert swapped.index == {s: k for k, s in enumerate(reversed(q.states))}
+    assert q.index == {s: k for k, s in enumerate(q.states)}
+    C, _, _ = sa_pair()
+    grown = dataclasses.replace(C, states=C.states + ("extra",), dout={**C.dout, ("extra", C.outputs[0]): "extra"})
+    assert grown.index["extra"] == len(C.states)
+    assert "extra" not in C.index
+
+
+def test_unknown_states_are_refused():
+    _, q, _, _, _ = quadruple()
+    C, D, h = sa_pair()
+    for m in (q, C):
+        with pytest.raises(ValidationError):
+            m.check_state("nowhere")
+        with pytest.raises(ValidationError):
+            m.successors("nowhere")
+    with pytest.raises(ValidationError):
+        PowersetSystem("n", ("a",), {"a": {"a"}}).successors("nowhere")
+    with pytest.raises(ValidationError):
+        StateMap(C, D, {**h.mapping, "nowhere": D.states[0]})
+    with pytest.raises(ValidationError):
+        StateMap(C, D, {**h.mapping, C.states[0]: "nowhere"})
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,9 @@ def test_style_validation():
     m = conflict_machine()
     with pytest.raises(ContractError):
         check_simulation(Relation.identity(m.states), m, m, style="weird")
+    for alias in ("hughes-jacobs", "open-map"):
+        with pytest.raises(ContractError):
+            check_simulation(Relation.identity(m.states), m, m, style=alias)
 
 
 # ---------------------------------------------------------------------------
