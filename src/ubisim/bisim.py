@@ -3,19 +3,24 @@
 Uncertain bisimilarity, bisimilarity and ioco compatibility are greatest
 fixpoints on pairs of states.  Each is computed through its complement,
 the least fixpoint of "this pair is apart", by backward propagation: the
-pairs that break a clause on their own are seeded into a worklist, and
-each dead pair kills the pairs that reach it through a label (for ioco's
-existential output clause, once the last of their common outputs leads
-to a dead pair).  Every (pair, label) is visited at most once, so each
-relation costs O(n^2 * |labels|) for n states (Liu and Smolka, "Simple
-linear-time algorithms for minimal fixed points", ICALP 1998).
+pairs that break a clause on their own are seeded, and each dead pair
+kills the pairs that reach it through a label (for ioco's existential
+output clause, once the last of their common outputs leads to a dead
+pair).  Every (pair, label) is reached once, so each relation takes
+O(n^2 * |labels|) steps for n states (Liu and Smolka, "Simple linear-time
+algorithms for minimal fixed points", ICALP 1998).
 Uncertain bisimilarity is not transitive, so partition refinement would
 be unsound; the pairwise propagation is the algorithm of record.  The
 round-based fixpoint `_shrink_rounds` stays as the tests' reference.
 
-The engines read each machine's dense successor arrays from its
-`tables()`, over the state positions the machine numbered when it was
-built.
+The dead pairs are kept as rows, one Python int per state x whose bit y
+stands for the pair (x, y), and they propagate a row at a time: the bits
+a row gains reach the rows of its predecessors through one OR of
+precomputed predecessor rows per label.  A step is then an integer
+operation on an n-bit row, done in C a machine word at a time, where the
+pair-at-a-time propagation paid a Python loop iteration per pair.  The
+engines read each machine's dense successor arrays from its `tables()`,
+over the state positions the machine numbered when it was built.
 
 `semantic_oracle_uncertain` is a deliberately separate decision path used
 to cross-check the fixpoint engine: it compares word semantics directly by
@@ -29,7 +34,10 @@ import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import reduce
+from itertools import compress
+from operator import or_
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
 from .lifting import in_uncertain_lifting
@@ -72,123 +80,177 @@ def _shrink_rounds(
         yield current
 
 
-def _predecessors(n: int, succ: list[int]) -> list[list[int]]:
+def _predecessors(n: int, succ: list[int]) -> tuple[list[list[int]], list[int], int]:
+    """Per state b, the states that step to b, as a list and as a row; and
+    the row of all states that step somewhere."""
     pred: list[list[int]] = [[] for _ in range(n)]
+    mask = [0] * n
     for x, d in enumerate(succ):
         if d >= 0:
             pred[d].append(x)
-    return pred
+            mask[d] |= 1 << x
+    return pred, mask, reduce(or_, mask, 0)
+
+
+# maps the characters of a binary numeral to the bytes 0 and 1
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(row: int) -> bytes:
+    """A flag byte per bit of `row`, lowest first, up to its highest set bit."""
+    return bin(row)[:1:-1].encode().translate(_BITS)
 
 
 def _dead_pairs(
     n: int,
     universal: Sequence[list[int]],
-    seeds: Iterable[int],
+    seeds: list[int],
     existential: Sequence[list[int]] = (),
-) -> bytearray:
+) -> list[int]:
     """The complement of a greatest fixpoint on the pairs of states 0..n-1,
-    as a flag per pair indexed x*n+y.
+    as one row per state x: an int whose bit y is set when (x, y) is dead.
 
     Each label's successor array gives the state reached from every state,
-    or -1.  A pair dies when it is a seed; when a `universal` label leads
-    both its states to a dead pair; or, if there are `existential` labels,
-    when every such label both states share leads to a dead pair (or they
-    share none).  The dead pairs are a least fixpoint, found by propagating
-    each death backwards once: the pairs led to a dead (a, b) by a label
-    are pred[a] x pred[b], so over the whole run every (pair, label) is
-    visited at most once, O(n^2 * labels).  Beside the n^2 pair flags (and
-    support counts), the predecessor lists take O(n * labels) memory.
+    or -1.  A pair dies when it is set in `seeds`; when a `universal` label
+    leads both its states to a dead pair; or, if there are `existential`
+    labels, when every such label both states share leads to a dead pair
+    (or they share none).
+
+    The dead pairs are a least fixpoint, found by propagating each death
+    backwards once, a row at a time.  When row a gains the bits D, the
+    states a label leads to a are pred[a], and the states it leads into D
+    are the OR of its predecessor rows over the bits of D (or, when fewer,
+    over the bits outside D, taken out of the states the label is defined
+    on), so every x in pred[a] gains its new pairs in one operation.  Only
+    the bits a row gains are queued, merged while the row waits; a single
+    bit needs no scan.  Each (pair, label) is reached once, and a run
+    takes O(n^2 * labels) operations on n-bit rows: a row has at most n
+    deltas, each one operation per predecessor and label, and its deltas
+    scan at most n bits per label in all.  Rows are first taken in
+    depth-first post-order, so a row waits for the rows its states step
+    to: on a one-input cycle, whose pairs die one bit per row at a time,
+    each row is then taken about once rather than once per bit.
+
+    For an existential label each state keeps the row of partners with
+    which the label still leads to a live pair; a pair dies when no
+    label's row keeps it, an OR over those labels' rows per step.  Beside
+    the n rows, the predecessor lists and rows take O(n * labels) memory.
     """
-    dead = bytearray(n * n)
-    queue: deque[int] = deque()
-    universal_preds = [_predecessors(n, succ) for succ in universal]
-    existential_preds = [_predecessors(n, succ) for succ in existential]
-    if existential:
-        # support: the shared existential labels whose successor pair lives
-        support = [0] * (n * n)
-        for succ in existential:
-            defined = [x for x in range(n) if succ[x] >= 0]
-            for x in defined:
-                row = x * n
-                for y in defined:
-                    support[row + y] += 1
-        seeds = itertools.chain(seeds, (p for p, c in enumerate(support) if not c))
-    push, pop = queue.append, queue.popleft
-    for p in seeds:
-        if not dead[p]:
-            dead[p] = 1
-            push(p)
+    full = (1 << n) - 1
+    labels = [(*_predecessors(n, succ), None) for succ in universal]
+    for succ in existential:
+        # the label's live row of x: the partners y with which it leads x
+        # to a live pair
+        pred, masks, defined = _predecessors(n, succ)
+        labels.append((pred, masks, defined, [defined if d >= 0 else 0 for d in succ]))
+    live = [rows for *_, rows in labels if rows is not None]
+    dead = list(seeds)
+    if live:  # a pair kept live by no existential label is dead
+        dead = [row | full ^ reduce(or_, kept) for row, kept in zip(dead, zip(*live))]
+    pending = list(dead)  # the bits of each row not yet propagated
+    queue = deque(x for x in _post_order(n, [*universal, *existential]) if pending[x])
+    push = queue.append
     while queue:
-        a, b = divmod(pop(), n)
-        for pred in universal_preds:
-            pa, pb = pred[a], pred[b]
-            if pa and pb:
-                for x in pa:
-                    row = x * n
-                    for y in pb:
-                        p = row + y
-                        if not dead[p]:
-                            dead[p] = 1
-                            push(p)
-        for pred in existential_preds:
-            pa, pb = pred[a], pred[b]
-            if pa and pb:
-                for x in pa:
-                    row = x * n
-                    for y in pb:
-                        p = row + y
-                        support[p] -= 1
-                        if not support[p] and not dead[p]:
-                            dead[p] = 1
-                            push(p)
+        a = queue.popleft()
+        delta, pending[a] = pending[a], 0
+        # scan the bits of delta, or the fewer bits outside it
+        if not delta & (delta - 1):
+            b = delta.bit_length() - 1  # a single bit: no scan
+        else:
+            b = -1
+            outside = delta.bit_count() * 2 > n
+            flags = _bits(full ^ delta if outside else delta)
+        for pred, masks, defined, rows in labels:
+            xs = pred[a]
+            if not xs:
+                continue
+            if b >= 0:
+                hit = masks[b]
+            else:
+                hit = reduce(or_, compress(masks, flags), 0)
+                if outside:
+                    hit ^= defined
+            for x in xs if hit else ():
+                if rows is None:  # universal: every pair led into delta dies
+                    new = hit & ~dead[x]
+                else:  # existential: the pairs that lose their last live label
+                    lost = rows[x] & hit
+                    if not lost:
+                        continue
+                    rows[x] ^= lost
+                    kept = dead[x]
+                    for other in live:
+                        kept |= other[x]
+                    new = lost & ~kept
+                if new:
+                    dead[x] |= new
+                    if not pending[x]:
+                        push(x)
+                    pending[x] |= new
     return dead
 
 
-def _differing(n: int, keys: list) -> Iterator[int]:
-    """The pairs x*n+y of states whose keys differ, skipping None keys."""
-    groups: dict = {}
+def _post_order(n: int, labels: Sequence[list[int]]) -> list[int]:
+    """The states 0..n-1 in depth-first post-order along the successors of
+    all labels: each state after the states it reaches, but around cycles."""
+    seen = bytearray(n)
+    order: list[int] = []
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = 1
+            stack = [(root, iter([succ[root] for succ in labels]))]
+            while stack:
+                x, nexts = stack[-1]
+                for d in nexts:
+                    if d >= 0 and not seen[d]:
+                        seen[d] = 1
+                        stack.append((d, iter([succ[d] for succ in labels])))
+                        break
+                else:
+                    stack.pop()
+                    order.append(x)
+    return order
+
+
+def _differing(keys: list) -> list[int]:
+    """Per state, the row of states whose key differs from its own; a None
+    key differs from nothing."""
+    classes: dict = {}
     for x, k in enumerate(keys):
         if k is not None:
-            groups.setdefault(k, []).append(x)
-    members = list(groups.values())
-    for g in members:
-        for h in members:
-            if g is not h:
-                for x in g:
-                    row = x * n
-                    for y in h:
-                        yield row + y
+            classes[k] = classes.get(k, 0) | 1 << x
+    keyed = reduce(or_, classes.values(), 0)
+    return [0 if k is None else keyed ^ classes[k] for k in keys]
 
 
-def _mealy_dead(m: PartialMealyMachine, same_inputs: bool = False) -> bytearray:
-    """The pairs outside uncertain bisimilarity, or outside bisimilarity
-    with `same_inputs`.  Seeds are the pairs whose outputs differ on a
-    common input and, with `same_inputs`, those whose sets of defined
-    inputs differ."""
+def _mealy_dead(m: PartialMealyMachine, same_inputs: bool = False) -> list[int]:
+    """The rows of pairs outside uncertain bisimilarity, or outside
+    bisimilarity with `same_inputs`.  Seeds are the pairs whose outputs
+    differ on a common input and, with `same_inputs`, those whose sets of
+    defined inputs differ."""
     n = len(m.states)
     succ, out = m.tables()
-    seeds = [_differing(n, outputs) for outputs in out]
+    keys = list(out)
     if same_inputs:
-        seeds.append(_differing(n, [tuple(s[x] >= 0 for s in succ) for x in range(n)]))
-    return _dead_pairs(n, succ, itertools.chain.from_iterable(seeds))
+        keys.append([tuple(s[x] >= 0 for s in succ) for x in range(n)])
+    seeds = [0] * n
+    for rows in map(_differing, keys):
+        seeds = list(map(or_, seeds, rows))
+    return _dead_pairs(n, succ, seeds)
 
 
-def _flagged_pairs(states: tuple[str, ...], flags: bytes) -> frozenset:
-    """The pairs (states[x], states[y]) whose flag at x*n+y is 1."""
-    n = len(states)
-    return frozenset(
-        (x, y)
-        for k, x in enumerate(states)
-        for y in itertools.compress(states, flags[k * n:(k + 1) * n])
-    )
+def _row_relation(states: tuple[str, ...], rows: list[int]) -> Relation:
+    """The relation of the pairs (states[x], states[y]) for every bit y of
+    rows[x]."""
+    return Relation.engine_square(states, itertools.chain.from_iterable(
+        zip(itertools.repeat(x), compress(states, _bits(row)))
+        for x, row in zip(states, rows)
+    ))
 
 
-# swaps the byte flags 0 and 1, turning dead pairs into surviving ones
-_FLIP = bytes([1, 0]) + bytes(254)
-
-
-def _surviving(states: tuple[str, ...], dead: bytearray) -> Relation:
-    return Relation.square(states, _flagged_pairs(states, dead.translate(_FLIP)))
+def _surviving(states: tuple[str, ...], dead: list[int]) -> Relation:
+    full = (1 << len(states)) - 1
+    return _row_relation(states, [full ^ row for row in dead])
 
 
 def uncertain_bisimilarity(m: PartialMealyMachine) -> Relation:
@@ -209,7 +271,7 @@ def ioco_compatibility(a: SuspensionAutomaton) -> Relation:
     states agree on common-input futures and share at least one output
     with related successors."""
     ins, outs = a.tables()
-    return _surviving(a.states, _dead_pairs(len(a.states), ins, (), outs))
+    return _surviving(a.states, _dead_pairs(len(a.states), ins, [0] * len(a.states), outs))
 
 
 def apartness_witness(m: PartialMealyMachine, x: str, y: str) -> Optional[ApartnessWitness]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .bisim import _flagged_pairs, _mealy_dead
+from .bisim import _mealy_dead, _row_relation
 from .errors import ContractError, ObservationConflictError, ValidationError
 from .machines import PartialMealyMachine
 from .morphisms import StateMap
@@ -76,12 +76,13 @@ class ObservationTree:
         return ObservationTree(self.inputs, self.outputs, edges)
 
     def words(self) -> list[tuple[str, ...]]:
-        """All access words, shortest first, then by input declaration order."""
-        found = {()}
-        for (prefix, i) in self.edges:
-            found.add(prefix + (i,))
-        index = {i: k for k, i in enumerate(self.inputs)}
-        return sorted(found, key=lambda w: (len(w), tuple(index[i] for i in w)))
+        """All access words, shortest first, then by input declaration order:
+        a breadth-first walk from the root that visits children in that
+        order."""
+        edges, found = self.edges, [()]
+        for word in found:  # breadth-first: the list grows while it is read
+            found.extend(word + (i,) for i in self.inputs if (word, i) in edges)
+        return found
 
     def output_along(self, word: Sequence[str]) -> Optional[tuple[str, ...]]:
         """The recorded output sequence for a word, or None if any step of
@@ -173,8 +174,7 @@ def tree_apartness_frontier(tree: ObservationTree) -> Relation:
     uncertain bisimilarity on the tree's machine.  Recording further
     observations can only grow this relation."""
     machine = tree.as_machine()
-    apart = _flagged_pairs(machine.states, _mealy_dead(machine))
-    return Relation.square(machine.states, apart)
+    return _row_relation(machine.states, _mealy_dead(machine))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,18 @@ class Relation:
         return cls(carrier, carrier, frozenset(pairs))
 
     @classmethod
+    def engine_square(
+        cls, carrier: tuple[Ref, ...], pairs: Iterable[tuple[Ref, Ref]]
+    ) -> "Relation":
+        """`square` for pairs an engine drew from `carrier` itself: skips
+        the constructor's check of every pair against the carriers."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "left", carrier)
+        object.__setattr__(rel, "right", carrier)
+        object.__setattr__(rel, "pairs", frozenset(pairs))
+        return rel
+
+    @classmethod
     def identity(cls, carrier: Sequence[Ref]) -> "Relation":
         carrier = tuple(carrier)
         return cls(carrier, carrier, frozenset((x, x) for x in carrier))

@@ -8,6 +8,7 @@ from helpers import (
     mealy_corpus,
     mealy_cycle,
     quadruple,
+    random_partial_mealy,
     random_sa,
     sa_cycle,
     sa_pair,
@@ -362,9 +363,18 @@ def test_ioco_non_transitive_search_reproduces():
 
 
 def test_engine_matches_rounds_on_mealy():
-    machines = list(mealy_corpus(200)) + [
+    rng = random.Random(6502)
+    # more than 64 states: each row of dead pairs is wider than a machine word
+    wide = [
+        random_partial_mealy(rng, n, inputs, 3, density=density)
+        for n in (65, 90)
+        for inputs in (2, 3)
+        for density in (0.3, 0.9)
+    ]
+    machines = list(mealy_corpus(200)) + wide + [
         mealy_cycle(30),
         mealy_cycle(60),
+        mealy_cycle(70),
         PartialMealyMachine("one", ("a", "b"), ("x",), ("s",), {("s", "a"): ("x", "s")}),
         PartialMealyMachine("none", ("a", "b"), ("x", "y"), ("s0", "s1", "s2"), {}),
         PartialMealyMachine("empty", ("a",), ("x",), (), {}),
@@ -386,6 +396,12 @@ def test_engine_matches_rounds_on_sa():
         sa_cycle(60),
         SuspensionAutomaton("one", ("a",), ("u",), ("s",), {}, {("s", "u"): "s"}),
     ]
+    # more than 64 states: each row of dead pairs is wider than a machine word
+    automata += [
+        random_sa(rng, 70, inputs=("a", "b"), outputs=("u", "v", "w")),
+        random_sa(rng, 90, in_density=0.2, out_density=0.3),
+        sa_cycle(70),
+    ]
     for a in automata:
         assert ioco_compatibility(a).pairs == rounds_fixpoint(a.states, ioco_violates(a))
 
@@ -397,3 +413,19 @@ def test_cycles_need_n_rounds():
         m, a = mealy_cycle(n), sa_cycle(n)
         assert len(list(_shrink_rounds(m.states, uncertain_violates(m)))) == n
         assert len(list(_shrink_rounds(a.states, ioco_violates(a)))) == n
+
+
+def test_bisimilarity_seeded_by_defined_inputs_only():
+    # one output, so no two states conflict: every seed of bisimilarity is
+    # a pair whose sets of defined inputs differ
+    m = random_partial_mealy(random.Random(8088), 80, 3, 1, density=0.6)
+    assert len(uncertain_bisimilarity(m)) == 80 * 80
+    same_inputs = {
+        (x, y)
+        for x in m.states
+        for y in m.states
+        if all(((x, i) in m.delta) == ((y, i) in m.delta) for i in m.inputs)
+    }
+    rel = bisimilarity(m)
+    assert rel.pairs == rounds_fixpoint(m.states, bisimilarity_violates(m))
+    assert Relation.identity(m.states).pairs < rel.pairs < same_inputs

@@ -208,6 +208,27 @@ def test_tree_agrees_with_teacher():
                 assert eval_semantics(machine, machine.states[0], word) is None
 
 
+def test_words_walk_matches_sorted_definition():
+    # access words are shortest first, then by input declaration order:
+    # the breadth-first walk must give exactly that sort of all of them
+    rng = random.Random(1969)
+    for _ in range(40):
+        hidden = random_total_mealy(rng, rng.randint(2, 6), 3, 2)
+        inputs = list(hidden.inputs)
+        rng.shuffle(inputs)
+        teacher = Teacher(hidden, hidden.states[0])
+        tree = ObservationTree.empty(inputs, hidden.outputs)
+        for _ in range(rng.randint(0, 12)):
+            word = [rng.choice(inputs) for _ in range(rng.randint(1, 5))]
+            tree = query_and_record(tree, teacher, word)
+        index = {i: k for k, i in enumerate(inputs)}
+        expected = sorted(
+            {()} | {prefix + (i,) for prefix, i in tree.edges},
+            key=lambda w: (len(w), [index[i] for i in w]),
+        )
+        assert tree.words() == expected
+
+
 # ---------------------------------------------------------------------------
 # lax morphisms out of trees
 

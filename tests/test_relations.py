@@ -15,6 +15,15 @@ def test_pairs_must_stay_inside_carriers():
         Relation(("a",), ("b",), {("a", "zzz")})
 
 
+def test_square_checks_pairs_and_engine_square_agrees():
+    with pytest.raises(ValidationError):
+        Relation.square(("a", "b"), {("a", "zzz")})
+    pairs = {("a", "b"), ("b", "b")}
+    fast = Relation.engine_square(("a", "b"), iter(pairs))
+    assert fast == Relation.square(("a", "b"), pairs)
+    assert isinstance(fast.pairs, frozenset) and fast.ordered_pairs() == [("a", "b"), ("b", "b")]
+
+
 def test_identity_total_and_containment():
     carrier = ("a", "b", "c")
     ident = Relation.identity(carrier)
