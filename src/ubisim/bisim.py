@@ -20,7 +20,8 @@ precomputed predecessor rows per label.  A step is then an integer
 operation on an n-bit row, done in C a machine word at a time, where the
 pair-at-a-time propagation paid a Python loop iteration per pair.  The
 engines read each machine's dense successor arrays from its `tables()`,
-over the state positions the machine numbered when it was built.
+over the state positions the machine numbered when it was built.  Rows
+are what a `Relation` stores, so the engines hand theirs over as they are.
 
 `semantic_oracle_uncertain` is a deliberately separate decision path used
 to cross-check the fixpoint engine: it compares word semantics directly by
@@ -42,7 +43,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .errors import ValidationError
 from .lifting import in_uncertain_lifting
 from .machines import PartialMealyMachine, SuspensionAutomaton, eval_semantics
-from .relations import Relation
+from .relations import Relation, _bits
 
 log = logging.getLogger(__name__)
 
@@ -90,15 +91,6 @@ def _predecessors(n: int, succ: list[int]) -> tuple[list[list[int]], list[int], 
             pred[d].append(x)
             mask[d] |= 1 << x
     return pred, mask, reduce(or_, mask, 0)
-
-
-# maps the characters of a binary numeral to the bytes 0 and 1
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(row: int) -> bytes:
-    """A flag byte per bit of `row`, lowest first, up to its highest set bit."""
-    return bin(row)[:1:-1].encode().translate(_BITS)
 
 
 def _dead_pairs(
@@ -239,31 +231,17 @@ def _mealy_dead(m: PartialMealyMachine, same_inputs: bool = False) -> list[int]:
     return _dead_pairs(n, succ, seeds)
 
 
-def _row_relation(states: tuple[str, ...], rows: list[int]) -> Relation:
-    """The relation of the pairs (states[x], states[y]) for every bit y of
-    rows[x]."""
-    return Relation.engine_square(states, itertools.chain.from_iterable(
-        zip(itertools.repeat(x), compress(states, _bits(row)))
-        for x, row in zip(states, rows)
-    ))
-
-
-def _surviving(states: tuple[str, ...], dead: list[int]) -> Relation:
-    full = (1 << len(states)) - 1
-    return _row_relation(states, [full ^ row for row in dead])
-
-
 def uncertain_bisimilarity(m: PartialMealyMachine) -> Relation:
     """The greatest relation under which related states never conflict:
     whenever both have a transition on the same input, the outputs agree
     and the successors are related again."""
-    return _surviving(m.states, _mealy_dead(m))
+    return Relation.from_rows(m.states, m.states, _mealy_dead(m)).complement()
 
 
 def bisimilarity(m: PartialMealyMachine) -> Relation:
     """Ordinary bisimilarity: related states must have transitions on
     exactly the same inputs, with equal outputs and related successors."""
-    return _surviving(m.states, _mealy_dead(m, same_inputs=True))
+    return Relation.from_rows(m.states, m.states, _mealy_dead(m, same_inputs=True)).complement()
 
 
 def ioco_compatibility(a: SuspensionAutomaton) -> Relation:
@@ -271,7 +249,8 @@ def ioco_compatibility(a: SuspensionAutomaton) -> Relation:
     states agree on common-input futures and share at least one output
     with related successors."""
     ins, outs = a.tables()
-    return _surviving(a.states, _dead_pairs(len(a.states), ins, [0] * len(a.states), outs))
+    dead = _dead_pairs(len(a.states), ins, [0] * len(a.states), outs)
+    return Relation.from_rows(a.states, a.states, dead).complement()
 
 
 def apartness_witness(m: PartialMealyMachine, x: str, y: str) -> Optional[ApartnessWitness]:
@@ -343,7 +322,7 @@ def relation_is_uncertain_bisimulation(m: PartialMealyMachine, rel: Relation) ->
     lifting of the relation itself."""
     if set(rel.left) - set(m.states) or set(rel.right) - set(m.states):
         raise ValidationError("relation carrier leaves the machine's state set")
-    square = Relation.square(m.states, rel.pairs)
+    square = Relation.square(m.states, rel.ordered_pairs())
     return all(
         in_uncertain_lifting(square, m.successors(x), m.successors(y))
         for x, y in square.ordered_pairs()
@@ -355,13 +334,13 @@ def relation_is_ioco_compatibility(a: SuspensionAutomaton, rel: Relation) -> boo
     arbitrary relation on a suspension automaton."""
     if set(rel.left) - set(a.states) or set(rel.right) - set(a.states):
         raise ValidationError("relation carrier leaves the automaton's state set")
-    for x, y in rel.pairs:
+    for x, y in rel.ordered_pairs():
         for i in a.inputs:
             dx, dy = a.din.get((x, i)), a.din.get((y, i))
-            if dx is not None and dy is not None and (dx, dy) not in rel.pairs:
+            if dx is not None and dy is not None and (dx, dy) not in rel:
                 return False
         if not any(
-            (x, o) in a.dout and (y, o) in a.dout and (a.dout[(x, o)], a.dout[(y, o)]) in rel.pairs
+            (x, o) in a.dout and (y, o) in a.dout and (a.dout[(x, o)], a.dout[(y, o)]) in rel
             for o in a.outputs
         ):
             return False

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .bisim import _mealy_dead, _row_relation
+from .bisim import _mealy_dead
 from .errors import ContractError, ObservationConflictError, ValidationError
-from .machines import PartialMealyMachine
+from .machines import PartialMealyMachine, distinct_names
 from .morphisms import StateMap
 from .relations import Relation
 
@@ -96,22 +96,22 @@ class ObservationTree:
             outs.append(o)
         return tuple(outs)
 
-    def as_machine(self, name: str = "tree") -> PartialMealyMachine:
-        """The tree as a partial Mealy machine with access-word state ids,
-        so every relation and morphism operation applies unchanged."""
-        for i in self.inputs:
-            if "." in i:
-                raise ValidationError("input symbols must not contain '.'")
-            if i == ROOT_ID:
-                raise ValidationError(f"input symbol {i!r} would name the root")
+    def _node_names(self) -> dict[tuple[str, ...], str]:
+        """The state name of each access word, in `words()` order: its
+        `node_id`, with primes appended by `distinct_names` where two words
+        join to the same id (inputs "i.j" and "i" "j", or an input "ε")."""
         words = self.words()
+        return dict(zip(words, distinct_names(map(node_id, words))))
+
+    def as_machine(self, name: str = "tree") -> PartialMealyMachine:
+        """The tree as a partial Mealy machine with states named after their
+        access words, so every relation and morphism operation applies."""
+        names = self._node_names()
         delta = {
-            (node_id(prefix), i): (o, node_id(prefix + (i,)))
+            (names[prefix], i): (o, names[prefix + (i,)])
             for (prefix, i), o in self.edges.items()
         }
-        return PartialMealyMachine(
-            name, self.inputs, self.outputs, tuple(node_id(w) for w in words), delta
-        )
+        return PartialMealyMachine(name, self.inputs, self.outputs, tuple(names.values()), delta)
 
     @property
     def root(self) -> str:
@@ -174,7 +174,7 @@ def tree_apartness_frontier(tree: ObservationTree) -> Relation:
     uncertain bisimilarity on the tree's machine.  Recording further
     observations can only grow this relation."""
     machine = tree.as_machine()
-    return _row_relation(machine.states, _mealy_dead(machine))
+    return Relation.from_rows(machine.states, machine.states, _mealy_dead(machine))
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,9 @@ def find_lax_morphism_from_tree(
         hypothesis.outputs
     ):
         raise ContractError("tree and hypothesis must share alphabets")
+    names = tree._node_names()
     images: dict[tuple[str, ...], str] = {(): root_target}
-    for word in tree.words():
-        if word == ():
-            continue
+    for word in list(names)[1:]:  # the root comes first
         prefix, i = word[:-1], word[-1]
         o = tree.edges[(prefix, i)]
         step = hypothesis.delta.get((images[prefix], i))
@@ -211,4 +210,4 @@ def find_lax_morphism_from_tree(
             return TreeConflict(word)
         images[word] = step[1]
     machine = tree.as_machine()
-    return StateMap(machine, hypothesis, {node_id(w): q for w, q in images.items()})
+    return StateMap(machine, hypothesis, {names[w]: q for w, q in images.items()})

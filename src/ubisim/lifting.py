@@ -58,11 +58,11 @@ def in_lifting(rel: Relation, t: Successors, s: Successors) -> bool:
         return False  # a witness must itself have a non-empty output part
     if not isinstance(t, PowSuccessors):
         # each side's entries are matched by the other's, through rel
-        there = order_failures(t, s, lambda a, b: (a, b) in rel.pairs)
-        back = order_failures(s, t, lambda a, b: (b, a) in rel.pairs)
+        there = order_failures(t, s, lambda a, b: (a, b) in rel)
+        back = order_failures(s, t, lambda a, b: (b, a) in rel)
         return next(there, None) is None and next(back, None) is None
-    left_ok = all(any((x, y) in rel.pairs for y in s.elems) for x in t.elems)
-    right_ok = all(any((x, y) in rel.pairs for x in t.elems) for y in s.elems)
+    left_ok = all(any((x, y) in rel for y in s.elems) for x in t.elems)
+    right_ok = all(any((x, y) in rel for x in t.elems) for y in s.elems)
     return left_ok and right_ok
 
 
@@ -80,37 +80,27 @@ def in_uncertain_lifting(rel: Relation, t: Successors, s: Successors) -> bool:
     _check_square(rel)
     check_same_shape(t, s)
     _check_refs(rel, t, s)
-    if isinstance(t, MealySuccessors):
-        dom, cod = rel.domain(), rel.codomain()
-        for te, se in zip(t.entries, s.entries):
-            if te is not None and se is not None:
-                if te[0] != se[0] or (te[1], se[1]) not in rel.pairs:
-                    return False
-            elif te is not None:
-                if te[1] not in dom:
-                    return False
-            elif se is not None:
-                if se[1] not in cod:
-                    return False
-        return True
-    if isinstance(t, SaSuccessors):
-        dom, cod = rel.domain(), rel.codomain()
-        for te, se in zip(t.in_entries, s.in_entries):
-            if te is not None and se is not None:
-                if (te, se) not in rel.pairs:
-                    return False
-            elif te is not None:
-                if te not in dom:
-                    return False
-            elif se is not None:
-                if se not in cod:
-                    return False
-        return any(
-            te is not None and se is not None and (te, se) in rel.pairs
-            for te, se in zip(t.out_entries, s.out_entries)
-        )
     dom, cod = rel.domain(), rel.codomain()
-    return all(x in dom for x in t.elems) and all(y in cod for y in s.elems)
+    if isinstance(t, PowSuccessors):
+        return all(x in dom for x in t.elems) and all(y in cod for y in s.elems)
+    if isinstance(t, MealySuccessors):
+        # outputs agree where both sides move; then only successors matter
+        if any(te[0] != se[0] for te, se in zip(t.entries, s.entries) if te and se):
+            return False
+        steps = [(te[1] if te else None, se[1] if se else None) for te, se in zip(t.entries, s.entries)]
+    else:
+        steps = zip(t.in_entries, s.in_entries)
+    for te, se in steps:
+        if te is not None and se is not None:
+            linked = (te, se) in rel
+        else:  # the known side, if any, needs some partner
+            linked = (te is None or te in dom) and (se is None or se in cod)
+        if not linked:
+            return False
+    return isinstance(t, MealySuccessors) or any(
+        te is not None and se is not None and (te, se) in rel
+        for te, se in zip(t.out_entries, s.out_entries)
+    )
 
 
 # ---------------------------------------------------------------------------

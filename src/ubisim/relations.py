@@ -1,134 +1,165 @@
 """Finite binary relations between ordered carriers, with the usual
-relation algebra: composition, converse, identity, inverse images and
-kernels of maps."""
+relation algebra: composition, converse, complement, identity, inverse
+images and kernels of maps.
+
+A relation is stored as one int row per left element, the form in which
+the fixpoint engines compute it; its set of name pairs is built on read.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
 Ref = Hashable
 
+# maps the characters of a binary numeral to the bytes 0 and 1
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
-@dataclass(frozen=True)
+
+def _bits(row: int) -> bytes:
+    """A flag byte per bit of `row`, lowest first, up to its highest set bit."""
+    return bin(row)[:1:-1].encode().translate(_BITS)
+
+
+@dataclass(frozen=True, init=False)
 class Relation:
     """A set of ordered pairs between two finite carriers.
 
-    Carriers are ordered tuples (declaration order); all iteration over a
-    relation's pairs goes through `ordered_pairs` so that downstream
-    algorithms are deterministic.
+    Carriers are ordered tuples of distinct elements (declaration order),
+    and bit y of `rows[x]` is set when (left[x], right[y]) is related; the
+    methods are integer operations on these rows.  `ordered_pairs` walks
+    the rows in carrier order, so downstream algorithms are deterministic;
+    `pairs` is the same set as a frozenset, built anew on every read.
+    `==` and `hash` compare carriers and rows, that is, pair sets.
     """
 
     left: tuple[Ref, ...]
     right: tuple[Ref, ...]
-    pairs: frozenset
+    rows: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", tuple(self.left))
-        object.__setattr__(self, "right", tuple(self.right))
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        lset, rset = set(self.left), set(self.right)
-        for x, y in self.pairs:
-            if x not in lset or y not in rset:
+    def __init__(self, left: Sequence[Ref], right: Sequence[Ref], pairs: Iterable[tuple[Ref, Ref]]):
+        left, right = tuple(left), tuple(right)
+        lpos, rpos = ({x: k for k, x in enumerate(c)} for c in (left, right))
+        if len(lpos) < len(left) or len(rpos) < len(right):
+            raise ValidationError("a carrier lists an element twice")
+        rows = [0] * len(left)
+        for x, y in pairs:
+            if x not in lpos or y not in rpos:
                 raise ValidationError(f"pair ({x!r}, {y!r}) leaves the carriers")
+            rows[lpos[x]] |= 1 << rpos[y]
+        # frozen: set the fields past __setattr__; the positions are not
+        # fields, so `==`, `hash` and `repr` ignore them
+        vars(self).update(left=left, right=right, rows=tuple(rows), _lpos=lpos, _rpos=rpos)
 
     @classmethod
-    def square(cls, carrier: Sequence[Ref], pairs: Iterable[tuple[Ref, Ref]]) -> "Relation":
-        carrier = tuple(carrier)
-        return cls(carrier, carrier, frozenset(pairs))
-
-    @classmethod
-    def engine_square(
-        cls, carrier: tuple[Ref, ...], pairs: Iterable[tuple[Ref, Ref]]
-    ) -> "Relation":
-        """`square` for pairs an engine drew from `carrier` itself: skips
-        the constructor's check of every pair against the carriers."""
-        rel = object.__new__(cls)
-        object.__setattr__(rel, "left", carrier)
-        object.__setattr__(rel, "right", carrier)
-        object.__setattr__(rel, "pairs", frozenset(pairs))
+    def from_rows(cls, left: Sequence[Ref], right: Sequence[Ref], rows: Iterable[int]) -> "Relation":
+        """The relation of the pairs (left[x], right[y]) for each bit y of
+        rows[x]; checks that there is a row per left element, within right."""
+        rel, rows = cls(left, right, ()), tuple(rows)
+        if len(rows) != len(rel.left) or any(row < 0 or row >> len(rel.right) for row in rows):
+            raise ValidationError("rows must be one per left element, within the right carrier")
+        vars(rel)["rows"] = rows
         return rel
 
     @classmethod
+    def square(cls, carrier: Sequence[Ref], pairs: Iterable[tuple[Ref, Ref]]) -> "Relation":
+        return cls(carrier, carrier, pairs)
+
+    @classmethod
     def identity(cls, carrier: Sequence[Ref]) -> "Relation":
-        carrier = tuple(carrier)
-        return cls(carrier, carrier, frozenset((x, x) for x in carrier))
+        return cls.from_rows(carrier, carrier, (1 << k for k in range(len(carrier))))
 
     @classmethod
     def total(cls, carrier: Sequence[Ref]) -> "Relation":
-        carrier = tuple(carrier)
-        return cls(carrier, carrier, frozenset((x, y) for x in carrier for y in carrier))
+        return cls.from_rows(carrier, carrier, [(1 << len(carrier)) - 1] * len(carrier))
 
     def __contains__(self, pair) -> bool:
-        return pair in self.pairs
+        x, y = pair
+        k, j = self._lpos.get(x), self._rpos.get(y)
+        return k is not None and j is not None and self.rows[k] >> j & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(row.bit_count() for row in self.rows)
+
+    @property
+    def pairs(self) -> frozenset:
+        return frozenset(self.ordered_pairs())
 
     @property
     def is_square(self) -> bool:
         return self.left == self.right
 
-    def ordered_pairs(self):
-        li = {x: k for k, x in enumerate(self.left)}
-        ri = {y: k for k, y in enumerate(self.right)}
-        return sorted(self.pairs, key=lambda p: (li[p[0]], ri[p[1]]))
+    def ordered_pairs(self) -> list[tuple[Ref, Ref]]:
+        return [(x, y) for x, row in zip(self.left, self.rows) for y in compress(self.right, _bits(row))]
 
     def converse(self) -> "Relation":
-        return Relation(self.right, self.left, frozenset((y, x) for x, y in self.pairs))
+        """The transpose: the pairs (y, x) for each pair (x, y)."""
+        cols = [0] * len(self.right)
+        for k, row in enumerate(self.rows):
+            for j in compress(range(len(cols)), _bits(row)):
+                cols[j] |= 1 << k
+        return Relation.from_rows(self.right, self.left, cols)
+
+    def complement(self) -> "Relation":
+        full = (1 << len(self.right)) - 1
+        return Relation.from_rows(self.left, self.right, [full ^ row for row in self.rows])
 
     def compose(self, other: "Relation") -> "Relation":
         """Relational composition: pairs (x, z) with some y related on both
-        sides.  The middle carriers must agree."""
+        sides.  The middle carriers must hold the same elements, in any
+        order."""
         if set(self.right) != set(other.left):
             raise ValidationError("composition requires matching middle carriers")
-        by_left: dict[Ref, set] = {}
-        for y, z in other.pairs:
-            by_left.setdefault(y, set()).add(z)
-        pairs = {(x, z) for x, y in self.pairs for z in by_left.get(y, ())}
-        return Relation(self.left, other.right, frozenset(pairs))
+        # other's rows, listed in the order of self's right carrier
+        middle = [other.rows[other._lpos[y]] for y in self.right]
+        rows = [reduce(or_, compress(middle, _bits(row)), 0) for row in self.rows]
+        return Relation.from_rows(self.left, other.right, rows)
 
     def union(self, other: "Relation") -> "Relation":
         if self.left != other.left or self.right != other.right:
             raise ValidationError("union requires identical carriers")
-        return Relation(self.left, self.right, self.pairs | other.pairs)
+        return Relation.from_rows(self.left, self.right, map(or_, self.rows, other.rows))
 
     def reflexive_closure(self) -> "Relation":
         if not self.is_square:
             raise ValidationError("reflexive closure needs a square relation")
-        return Relation(self.left, self.right, self.pairs | {(x, x) for x in self.left})
+        return Relation.from_rows(self.left, self.right, (row | 1 << k for k, row in enumerate(self.rows)))
 
     def is_reflexive(self) -> bool:
-        return self.is_square and all((x, x) in self.pairs for x in self.left)
+        return self.is_square and all(row >> k & 1 for k, row in enumerate(self.rows))
 
     def is_symmetric(self) -> bool:
-        return all((y, x) in self.pairs for x, y in self.pairs)
+        return all((y, x) in self for x, y in self.ordered_pairs())
 
     def domain(self) -> frozenset:
-        return frozenset(x for x, _ in self.pairs)
+        return frozenset(compress(self.left, self.rows))
 
     def codomain(self) -> frozenset:
-        return frozenset(y for _, y in self.pairs)
+        return frozenset(compress(self.right, _bits(reduce(or_, self.rows, 0))))
 
 
 def inverse_image(f: Mapping[Ref, Ref], rel: Relation) -> Relation:
     """Pull a relation on the target of `f` back to f's domain: pairs
-    (x1, x2) with (f(x1), f(x2)) related."""
-    carrier = tuple(f.keys())
+    (x1, x2) with (f(x1), f(x2)) related.  That is the composite of f's
+    graph, the relation and the converse of f's graph."""
     targets = set(rel.left) | set(rel.right)
     for x, y in f.items():
         if y not in targets:
             raise ValidationError(f"{f[x]!r} is outside the relation's carriers")
-    pairs = frozenset(
-        (x1, x2) for x1 in carrier for x2 in carrier if (f[x1], f[x2]) in rel.pairs
+    into_left, into_right = (
+        Relation(tuple(f), side, [(x, y) for x, y in f.items() if y in pos])
+        for side, pos in ((rel.left, rel._lpos), (rel.right, rel._rpos))
     )
-    return Relation(carrier, carrier, pairs)
+    return into_left.compose(rel).compose(into_right.converse())
 
 
 def kernel_relation(f: Mapping[Ref, Ref]) -> Relation:
-    """Pairs of the domain that f maps to the same value."""
-    carrier = tuple(f.keys())
-    pairs = frozenset((x1, x2) for x1 in carrier for x2 in carrier if f[x1] == f[x2])
-    return Relation(carrier, carrier, pairs)
+    """Pairs of the domain that f maps to the same value: the inverse image
+    of equality on f's values."""
+    return inverse_image(f, Relation.identity(tuple(dict.fromkeys(f.values()))))

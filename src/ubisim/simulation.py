@@ -69,7 +69,7 @@ def simulation_violation(
     """The first pair and symbol breaking the simulation conditions, or
     None when the relation is a simulation."""
     _check_rel(rel, src, dst)
-    linked = lambda a, b: (a, b) in rel.pairs  # noqa: E731
+    linked = lambda a, b: (a, b) in rel  # noqa: E731
     left = {x: src.successors(x) for x in rel.domain()}
     right = {z: dst.successors(z) for z in rel.codomain()}
     for x, z in rel.ordered_pairs():
@@ -123,7 +123,7 @@ def witness_violations(w: SimulationWitness, src: Machine, dst: Machine) -> list
             problems.append(f"no structure for pair {pair}")
             continue
         for ref in struct.refs():
-            if ref not in w.relation.pairs:
+            if ref not in w.relation:
                 problems.append(f"structure of {pair} leaves the relation at {ref}")
         left, right = (map_structure(struct, {r: r[k] for r in struct.refs()}) for k in (0, 1))
         csrc = src.successors(pair[0])
@@ -194,7 +194,7 @@ def synthesize_span_structure(machine: Machine, rel: Relation):
     if set(rel.left) - set(machine.states):
         raise ValidationError("relation carrier leaves the machine's state set")
 
-    related = lambda a, b: (a, b) in rel.pairs  # noqa: E731
+    related = lambda a, b: (a, b) in rel  # noqa: E731
     first: dict[str, SpanFailure] = {}
     structure = {}
     for pair in rel.ordered_pairs():

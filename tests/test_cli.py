@@ -96,6 +96,21 @@ def test_identify_beside_a_plus_named_state(tmp_path):
     assert "states a+b a+b'\n" in out
 
 
+def test_learn_demo_with_dotted_inputs(tmp_path):
+    # the access words ("i.j",) and ("i", "j") both join to "i.j"
+    path = tmp_path / "dotted.txt"
+    path.write_text(
+        "mealy h\ninputs i j i.j\noutputs x y\nstates s t\n"
+        "trans s i x t\ntrans s j x s\ntrans s i.j y s\n"
+        "trans t i x t\ntrans t j x s\ntrans t i.j x t\n"
+    )
+    code, out = run_cli(["learn-demo", "--hidden", f"{path}:h", "--queries", "i j, i.j"])
+    assert code == 0
+    assert "states ε i i.j i.j'\n" in out
+    assert "trans i j x i.j'\n" in out and "trans ε i.j y i.j\n" in out
+    assert out.endswith("queries 2\n")
+
+
 def test_restrict_refuses_suspension_automata(tmp_path, capsys):
     doc = (
         "sa A\ninputs a\noutputs o\nstates s\nitrans s a s\notrans s o s\n\n"

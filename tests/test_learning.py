@@ -111,11 +111,23 @@ def test_record_length_mismatch():
         tree.record(("i",), ("a", "a"))
 
 
-def test_input_named_like_the_root_is_refused():
-    # the access word ("ε",) would get the root's id
+def test_input_named_like_the_root_gets_a_primed_node():
+    # the access word ("ε",) joins to the root's id; the root keeps it
     tree = ObservationTree.empty(("ε", "a"), ("x",)).record(("ε",), ("x",))
-    with pytest.raises(ValidationError, match="root"):
-        tree.as_machine()
+    machine = tree.as_machine()
+    assert machine.states == ("ε", "ε'")
+    assert machine.delta == {("ε", "ε"): ("x", "ε'")}
+
+
+def test_dotted_inputs_get_unique_node_names():
+    # the words ("i.j",) and ("i", "j") both join to "i.j"
+    tree = ObservationTree.empty(("i", "j", "i.j"), ("x",))
+    tree = tree.record(("i", "j"), ("x", "x")).record(("i.j",), ("x",))
+    machine = tree.as_machine()
+    assert machine.states == ("ε", "i", "i.j", "i.j'")
+    assert machine.delta[("i", "j")] == ("x", "i.j'")
+    morphism = find_lax_morphism_from_tree(tree, totalize(machine, "x"), "ε")
+    assert morphism.mapping == {s: s for s in machine.states}
 
 
 # ---------------------------------------------------------------------------
