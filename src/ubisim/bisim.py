@@ -41,7 +41,7 @@ from operator import or_
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
-from .lifting import in_uncertain_lifting
+from .lifting import _uncertain_linked
 from .machines import PartialMealyMachine, SuspensionAutomaton, eval_semantics
 from .relations import Relation, _bits
 
@@ -323,10 +323,9 @@ def relation_is_uncertain_bisimulation(m: PartialMealyMachine, rel: Relation) ->
     if set(rel.left) - set(m.states) or set(rel.right) - set(m.states):
         raise ValidationError("relation carrier leaves the machine's state set")
     square = Relation.square(m.states, rel.ordered_pairs())
-    return all(
-        in_uncertain_lifting(square, m.successors(x), m.successors(y))
-        for x, y in square.ordered_pairs()
-    )
+    dom, cod = square.domain(), square.codomain()
+    succ = {s: m.successors(s) for s in m.states}
+    return all(_uncertain_linked(square, dom, cod, succ[x], succ[y]) for x, y in square.ordered_pairs())
 
 
 def relation_is_ioco_compatibility(a: SuspensionAutomaton, rel: Relation) -> bool:

@@ -96,17 +96,15 @@ class ObservationTree:
             outs.append(o)
         return tuple(outs)
 
-    def _node_names(self) -> dict[tuple[str, ...], str]:
-        """The state name of each access word, in `words()` order: its
+    def as_machine(self, name: str = "tree") -> PartialMealyMachine:
+        """The tree as a partial Mealy machine with states named after their
+        access words, so every relation and morphism operation applies.
+
+        The states come in `words()` order, each named by its word's
         `node_id`, with primes appended by `distinct_names` where two words
         join to the same id (inputs "i.j" and "i" "j", or an input "ε")."""
         words = self.words()
-        return dict(zip(words, distinct_names(map(node_id, words))))
-
-    def as_machine(self, name: str = "tree") -> PartialMealyMachine:
-        """The tree as a partial Mealy machine with states named after their
-        access words, so every relation and morphism operation applies."""
-        names = self._node_names()
+        names = dict(zip(words, distinct_names(map(node_id, words))))
         delta = {
             (names[prefix], i): (o, names[prefix + (i,)])
             for (prefix, i), o in self.edges.items()
@@ -200,14 +198,13 @@ def find_lax_morphism_from_tree(
         hypothesis.outputs
     ):
         raise ContractError("tree and hypothesis must share alphabets")
-    names = tree._node_names()
     images: dict[tuple[str, ...], str] = {(): root_target}
-    for word in list(names)[1:]:  # the root comes first
+    for word in tree.words()[1:]:  # the root comes first
         prefix, i = word[:-1], word[-1]
         o = tree.edges[(prefix, i)]
         step = hypothesis.delta.get((images[prefix], i))
         if step is None or step[0] != o:
             return TreeConflict(word)
         images[word] = step[1]
-    machine = tree.as_machine()
-    return StateMap(machine, hypothesis, {names[w]: q for w, q in images.items()})
+    machine = tree.as_machine()  # its states name the words in `words()` order
+    return StateMap(machine, hypothesis, dict(zip(machine.states, images.values())))

@@ -80,7 +80,12 @@ def in_uncertain_lifting(rel: Relation, t: Successors, s: Successors) -> bool:
     _check_square(rel)
     check_same_shape(t, s)
     _check_refs(rel, t, s)
-    dom, cod = rel.domain(), rel.codomain()
+    return _uncertain_linked(rel, rel.domain(), rel.codomain(), t, s)
+
+
+def _uncertain_linked(rel: Relation, dom: frozenset, cod: frozenset, t: Successors, s: Successors) -> bool:
+    """`in_uncertain_lifting` on checked arguments, given rel's domain and
+    codomain, so that a check of many pairs computes them once."""
     if isinstance(t, PowSuccessors):
         return all(x in dom for x in t.elems) and all(y in cod for y in s.elems)
     if isinstance(t, MealySuccessors):

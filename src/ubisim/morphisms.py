@@ -175,33 +175,18 @@ class Quotient:
     classes: tuple[tuple[str, ...], ...]
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.members = {x: [x] for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # keep the earlier-declared representative for determinism
-        self.parent[rb] = ra
-        self.members[ra].extend(self.members.pop(rb))
-
-
 def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conflict]:
     """Decide whether some lax morphism can identify x and y.
 
     Closes the smallest equivalence containing (x, y) under forced
-    successor identifications (breadth-first, inputs in declaration
-    order).  Any class containing two states with a common input but
-    different outputs yields a Conflict with the forcing chain; otherwise
-    the quotient machine itself provides the identifying lax map.
+    successor identifications: a congruence closure on state positions
+    (Hopcroft and Karp), near-linear in states times inputs.  Each class
+    keeps one member that moves on each input; joining two classes
+    compares those members input by input, and where both move, their
+    outputs must agree and their successors get joined next (breadth-first,
+    inputs in declaration order).  An output clash yields a Conflict with
+    the forcing chain; otherwise the quotient machine itself provides the
+    identifying lax map.
 
     Each quotient state is named by joining its class's members with "+".
     Where such names coincide (merging a and b beside a state named a+b),
@@ -210,60 +195,51 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
     """
     m.check_state(x)
     m.check_state(y)
-    uf = _UnionFind(m.states)
+    states, inputs = m.states, m.inputs
+    succ, out = m.tables()
+    parent = list(range(len(states)))
+    # per class root and input, a member that moves on that input, or -1
+    mover = [[s if row[s] >= 0 else -1 for row in succ] for s in range(len(states))]
+
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        return s
+
     merges: list[MergeStep] = []
-    queue: deque[tuple[str, str, tuple[str, ...]]] = deque()
-
-    def union(a: str, b: str, word: tuple[str, ...]) -> None:
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb:
-            return
-        merges.append(MergeStep(a, b, word))
-        # every pair across the two classes carries its own constraints;
-        # the generating pair goes first, the rest in declaration order
-        cross = sorted(
-            ((u, v) for u in uf.members[ra] for v in uf.members[rb]),
-            key=lambda p: (m.index[p[0]], m.index[p[1]]),
-        )
-        uf.union(ra, rb)
-        queue.append((a, b, word))
-        for u, v in cross:
-            if (u, v) != (a, b):
-                queue.append((u, v, word))
-
-    union(x, y, ())
+    queue = deque([(m.index[x], m.index[y], ())])
     while queue:
-        u, v, word = queue.popleft()
-        for i in m.inputs:
-            du, dv = m.delta.get((u, i)), m.delta.get((v, i))
-            if du is None or dv is None:
-                continue
-            if du[0] != dv[0]:
-                return Conflict(
-                    tuple(merges), u, v, i, du[0], dv[0], word + (i,)
-                )
-            union(du[1], dv[1], word + (i,))
+        a, b, word = queue.popleft()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        merges.append(MergeStep(states[a], states[b], word))
+        for k, (u, v) in enumerate(zip(mover[ra], mover[rb])):
+            if u >= 0 and v >= 0:
+                if out[k][u] != out[k][v]:
+                    return Conflict(
+                        tuple(merges), states[u], states[v], inputs[k],
+                        out[k][u], out[k][v], word + (inputs[k],),
+                    )
+                queue.append((succ[k][u], succ[k][v], word + (inputs[k],)))
+        # the earlier-declared root stays; the merged-in side's movers win
+        root, gone = min(ra, rb), max(ra, rb)
+        parent[gone] = root
+        mover[root] = [g if g >= 0 else r for r, g in zip(mover[root], mover[gone])]
 
-    classes: dict[str, list[str]] = {}
-    for s in m.states:
-        classes.setdefault(uf.find(s), []).append(s)
-    class_list = sorted(
-        (tuple(members) for members in classes.values()), key=lambda c: m.index[c[0]]
-    )
-    class_names = distinct_names("+".join(c) for c in class_list)
-    names = {uf.find(c[0]): n for c, n in zip(class_list, class_names)}
-    proj = {s: names[uf.find(s)] for s in m.states}
-
-    delta: dict[tuple[str, str], tuple[str, str]] = {}
-    for (src, i), (o, dst) in m.delta.items():
-        step = (o, proj[dst])
-        known = delta.setdefault((proj[src], i), step)
-        if known != step:
-            # cannot happen: processing every cross-class pair makes the
-            # closure a congruence, so members agree up to the projection
-            raise AssertionError(
-                f"quotient not well-defined at ({proj[src]}, {i}): {known} vs {step}"
-            )
+    # in declaration order, so the classes come ordered by first member
+    classes: dict[int, list[str]] = {}
+    for s, name in enumerate(states):
+        classes.setdefault(find(s), []).append(name)
+    class_names = distinct_names("+".join(c) for c in classes.values())
+    names = dict(zip(classes, class_names))
+    proj = {name: names[find(s)] for s, name in enumerate(states)}
+    delta = {
+        (names[r], inputs[k]): (out[k][u], names[find(succ[k][u])])
+        for r in classes
+        for k, u in enumerate(mover[r])
+        if u >= 0
+    }
     quotient = PartialMealyMachine(
         m.name + "-quotient",
         m.inputs,
@@ -272,4 +248,4 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
         delta,
     )
     projection = StateMap(m, quotient, proj)
-    return Quotient(quotient, projection, tuple(class_list))
+    return Quotient(quotient, projection, tuple(map(tuple, classes.values())))

@@ -134,6 +134,14 @@ def mealy_cycle(n: int) -> PartialMealyMachine:
     return PartialMealyMachine("cyc", ("i",), ("x", "y"), states, delta)
 
 
+def merge_cycle(n: int) -> PartialMealyMachine:
+    """A one-input n-cycle with a single output: identifying c0 with ck
+    merges exactly the residue classes modulo gcd(n, k)."""
+    states = tuple(f"c{k}" for k in range(n))
+    delta = {(states[k], "i"): ("x", states[(k + 1) % n]) for k in range(n)}
+    return PartialMealyMachine("mcyc", ("i",), ("x",), states, delta)
+
+
 def sa_cycle(n: int) -> SuspensionAutomaton:
     """The suspension-automaton twin of `mealy_cycle`: input a and output x
     step around the cycle, the last state offers only y."""
@@ -233,6 +241,67 @@ def ioco_compatible_search(a: SuspensionAutomaton, x: str, y: str) -> bool:
         return False
 
     return extend(frozenset({(x, y)}))
+
+
+def lax_identify_reference(m: PartialMealyMachine, x: str, y: str):
+    """The quadratic closure `lax_identify` replaced, kept as its oracle:
+    on each union every pair across the two classes is queued and checked
+    on every input.  Same verdict, classes, quotient and projection; a
+    conflict may come with a different (equally valid) forcing chain."""
+    from collections import deque
+
+    from ubisim import Conflict, Quotient
+    from ubisim.machines import distinct_names
+    from ubisim.morphisms import MergeStep
+
+    parent = {s: s for s in m.states}
+    members = {s: [s] for s in m.states}
+
+    def find(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    merges, queue = [], deque()
+
+    def union(a, b, word):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return
+        merges.append(MergeStep(a, b, word))
+        cross = sorted(
+            ((u, v) for u in members[ra] for v in members[rb]),
+            key=lambda p: (m.index[p[0]], m.index[p[1]]),
+        )
+        parent[rb] = ra
+        members[ra].extend(members.pop(rb))
+        queue.append((a, b, word))
+        queue.extend((u, v, word) for u, v in cross if (u, v) != (a, b))
+
+    union(x, y, ())
+    while queue:
+        u, v, word = queue.popleft()
+        for i in m.inputs:
+            du, dv = m.delta.get((u, i)), m.delta.get((v, i))
+            if du is None or dv is None:
+                continue
+            if du[0] != dv[0]:
+                return Conflict(tuple(merges), u, v, i, du[0], dv[0], word + (i,))
+            union(du[1], dv[1], word + (i,))
+
+    classes = {}
+    for s in m.states:
+        classes.setdefault(find(s), []).append(s)
+    class_list = sorted((tuple(c) for c in classes.values()), key=lambda c: m.index[c[0]])
+    class_names = distinct_names("+".join(c) for c in class_list)
+    names = {find(c[0]): n for c, n in zip(class_list, class_names)}
+    proj = {s: names[find(s)] for s in m.states}
+    delta = {}
+    for (src, i), (o, dst) in m.delta.items():
+        step = (o, proj[dst])
+        assert delta.setdefault((proj[src], i), step) == step, "quotient not well-defined"
+    quotient = PartialMealyMachine(m.name + "-quotient", m.inputs, m.outputs, tuple(class_names), delta)
+    return Quotient(quotient, StateMap(m, quotient, proj), tuple(class_list))
 
 
 def words_up_to(inputs, max_len):

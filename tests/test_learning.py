@@ -24,6 +24,7 @@ from ubisim import (
     find_lax_morphism_from_tree,
     lax_identify,
     query_and_record,
+    run,
     semantic_oracle_uncertain,
     tree_apartness_frontier,
 )
@@ -305,6 +306,9 @@ def test_morphism_into_hidden_is_sound():
             tree = query_and_record(tree, teacher, word)
         found = find_lax_morphism_from_tree(tree, teacher._hidden, hidden.states[0])
         assert isinstance(found, StateMap)
+        # each access word goes where the hidden machine's run takes it
+        for word in tree.words():
+            assert found.mapping[node_id(word)] == run(hidden, hidden.states[0], word)
         # provably different tree states never map to the same hidden state
         frontier = tree_apartness_frontier(tree)
         for x, y in frontier.pairs:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,9 @@ from helpers import (
     conflict_machine,
     quadruple,
     lax_chain,
+    lax_identify_reference,
+    mealy_corpus,
+    merge_cycle,
     random_lax_map,
     random_oplax_map,
     random_partial_mealy,
@@ -275,6 +279,59 @@ def test_identify_stress_both_outcomes():
             assert find(result.left_state) == find(result.right_state)
             assert find(x) == find(y)
     assert quotients > 20 and conflicts > 20
+
+
+def _replays(m, x, y, result):
+    """The conflict evidence holds: the chain starts at the requested pair,
+    its merges put the two clashing states in one class, and their outputs
+    on the input really differ."""
+    assert (result.merges[0].left, result.merges[0].right) == (x, y)
+    du = m.delta[(result.left_state, result.input)]
+    dv = m.delta[(result.right_state, result.input)]
+    assert (du[0], dv[0]) == (result.left_output, result.right_output)
+    assert du[0] != dv[0]
+    parent = {s: s for s in m.states}
+
+    def find(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    for step in result.merges:
+        parent[find(step.left)] = find(step.right)
+    assert find(result.left_state) == find(result.right_state)
+
+
+def test_identify_matches_reference():
+    rng = random.Random(31)
+    cases = [(m, rng.choice(m.states), rng.choice(m.states)) for m in mealy_corpus(300, seed=31)]
+    cases += [
+        (m, rng.choice(m.states), rng.choice(m.states))
+        for m in (random_partial_mealy(rng, rng.randint(10, 30), 2, 1) for _ in range(40))
+    ]
+    cases += [(merge_cycle(n), "c0", f"c{k}") for n in (1, 2, 7, 12, 60) for k in range(n)]
+    cm = conflict_machine()
+    cases += [(cm, x, y) for x in cm.states for y in ("p", "q", "y")]
+    kinds = set()
+    for m, x, y in cases:
+        got, want = lax_identify(m, x, y), lax_identify_reference(m, x, y)
+        assert type(got) is type(want)
+        kinds.add(type(got))
+        if isinstance(want, Quotient):
+            assert got.classes == want.classes
+            assert got.machine == want.machine
+            assert got.projection.mapping == want.projection.mapping
+        else:
+            _replays(m, x, y, got)
+    assert kinds == {Quotient, Conflict}
+
+
+def test_identify_merge_cycles_give_residue_classes():
+    for n in (1, 2, 3, 30, 97, 200, 400):
+        for k in {0, 1, 2, n // 3, n // 2, n - 1}:
+            result = lax_identify(merge_cycle(n), "c0", f"c{k % n}")
+            g = math.gcd(n, k)
+            assert result.classes == tuple(tuple(f"c{j}" for j in range(r, n, g)) for r in range(g))
 
 
 def test_identify_converse_fails_on_conflict_machine():
