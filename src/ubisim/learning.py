@@ -5,18 +5,26 @@ stored in an observation tree, a prefix-closed partial Mealy machine whose
 states are the access words of the queries performed so far.  Apartness of
 tree states only ever grows as more observations arrive, which is what
 makes it the useful notion during learning.
+
+A tree stores its nodes by position, in the order they were first
+observed, so a parent always comes before its children.  Access words,
+node names and the tree's machine are derived from the positions, in
+breadth-first order; the apartness frontier and lax morphisms out of the
+tree are computed on the positions directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
+from typing import Optional, Sequence, Union
 
-from .bisim import _mealy_dead
 from .errors import ContractError, ObservationConflictError, ValidationError
 from .machines import PartialMealyMachine, distinct_names
 from .morphisms import StateMap
-from .relations import Relation
+from .relations import Relation, _bits
 
 ROOT_ID = "ε"  # printable id for the empty access word
 
@@ -25,104 +33,164 @@ def node_id(word: Sequence[str]) -> str:
     return ".".join(word) if word else ROOT_ID
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class ObservationTree:
-    """All query responses gathered so far, as a tree of access words.
+    """All query responses gathered so far, as a tree of nodes.
 
-    `edges` maps (access word, input) to the observed output; the successor
-    is the extended access word, so the tree shape and prefix closure hold
-    by construction.  Trees are immutable: `record` returns a new tree.
+    Node 0 is the root.  `_into[p]` is the edge into node p: its parent's
+    position, the position in `inputs` of its input, and its output (the
+    root has (-1, -1, None)).  `_children[p][k]` is the position of p's
+    child on inputs[k], or -1 where nothing has been observed.  The tree
+    shape and prefix closure hold by construction.
+
+    Trees are immutable: `record` returns a new tree.  Positions follow
+    the order of recording, but `==` compares alphabets and observations
+    (`edges`) only, so the same observations recorded in any order give
+    equal trees.
     """
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    edges: Mapping[tuple[tuple[str, ...], str], str] = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "edges", dict(self.edges))
+    def __init__(self, inputs: Sequence[str], outputs: Sequence[str]):
+        """The tree with only its root: nothing observed yet."""
+        inputs = tuple(inputs)
+        # frozen: set the fields past __setattr__
+        vars(self).update(
+            inputs=inputs, outputs=tuple(outputs), _ipos={i: k for k, i in enumerate(inputs)},
+            _into=[(-1, -1, None)], _children=[(-1,) * len(inputs)],
+        )
 
     @classmethod
     def empty(cls, inputs: Sequence[str], outputs: Sequence[str]) -> "ObservationTree":
-        return cls(tuple(inputs), tuple(outputs), {})
+        return cls(inputs, outputs)
 
     def record(self, word: Sequence[str], outs: Sequence[str]) -> "ObservationTree":
         """Extend the tree with one query response.
 
         Re-recording a prefix must reproduce the outputs already stored; a
         clash means the observations cannot come from one machine and
-        raises, carrying the offending prefix.
+        raises, carrying the offending prefix.  A response that adds no
+        node returns this tree.
         """
         word, outs = tuple(word), tuple(outs)
         if len(word) != len(outs):
             raise ContractError("word and outputs must have the same length")
         for i in word:
-            if i not in self.inputs:
+            if i not in self._ipos:
                 raise ValidationError(f"unknown input symbol {i!r}")
         for o in outs:
             if o not in self.outputs:
                 raise ValidationError(f"unknown output symbol {o!r}")
-        edges = dict(self.edges)
-        for k in range(len(word)):
-            prefix, i, o = word[:k], word[k], outs[k]
-            known = edges.get((prefix, i))
-            if known is not None and known != o:
+        labels = [self._ipos[i] for i in word]
+        node = 0
+        for k, (i, o) in enumerate(zip(labels, outs)):
+            child = self._children[node][i]
+            if child < 0:
+                break
+            known = self._into[child][2]
+            if known != o:
                 raise ObservationConflictError(
                     f"output clash on {node_id(word[: k + 1])}: recorded {known!r}, got {o!r}",
                     prefix=word[: k + 1],
                 )
-            edges[(prefix, i)] = o
-        return ObservationTree(self.inputs, self.outputs, edges)
+            node = child
+        else:
+            return self
+        into, children = self._into[:], self._children[:]
+        leaf = (-1,) * len(self.inputs)
+        for i, o in zip(labels[k:], outs[k:]):
+            new = len(into)
+            row = list(children[node])
+            row[i] = new
+            children[node] = tuple(row)
+            into.append((node, i, o))
+            children.append(leaf)
+            node = new
+        tree = object.__new__(ObservationTree)
+        vars(tree).update(
+            inputs=self.inputs, outputs=self.outputs, _ipos=self._ipos, _into=into, _children=children
+        )
+        return tree
+
+    @cached_property
+    def _order(self) -> list[int]:
+        """Node positions in `words()` order: breadth-first from the root,
+        children in input declaration order."""
+        order, children = [0], self._children
+        for p in order:  # breadth-first: the list grows while it is read
+            order.extend([c for c in children[p] if c >= 0])
+        return order
+
+    @cached_property
+    def _names(self) -> list[str]:
+        """Node names in `_order`: each node's access word joined by
+        `node_id`, with primes appended by `distinct_names` where two words
+        join to the same id (inputs "i.j" and "i" "j", or an input "ε")."""
+        return distinct_names(map(node_id, self.words()))
 
     def words(self) -> list[tuple[str, ...]]:
-        """All access words, shortest first, then by input declaration order:
-        a breadth-first walk from the root that visits children in that
-        order."""
-        edges, found = self.edges, [()]
-        for word in found:  # breadth-first: the list grows while it is read
-            found.extend(word + (i,) for i in self.inputs if (word, i) in edges)
-        return found
+        """All access words, shortest first, then by input declaration order."""
+        words = [()] * len(self._into)
+        for p in self._order[1:]:
+            q, k, _ = self._into[p]
+            words[p] = words[q] + (self.inputs[k],)
+        return [words[p] for p in self._order]
+
+    @property
+    def edges(self) -> dict[tuple[tuple[str, ...], str], str]:
+        """The observations: (access word, input) -> output, in `words()`
+        order of the extended word."""
+        return {
+            (word[:-1], word[-1]): self._into[p][2]
+            for p, word in zip(self._order[1:], self.words()[1:])
+        }
 
     def output_along(self, word: Sequence[str]) -> Optional[tuple[str, ...]]:
         """The recorded output sequence for a word, or None if any step of
         it has not been observed."""
-        word = tuple(word)
-        outs = []
-        for k in range(len(word)):
-            o = self.edges.get((word[:k], word[k]))
-            if o is None:
+        node, outs = 0, []
+        for i in word:
+            k = self._ipos.get(i)
+            node = -1 if k is None else self._children[node][k]
+            if node < 0:
                 return None
-            outs.append(o)
+            outs.append(self._into[node][2])
         return tuple(outs)
 
     def as_machine(self, name: str = "tree") -> PartialMealyMachine:
         """The tree as a partial Mealy machine with states named after their
         access words, so every relation and morphism operation applies.
 
-        The states come in `words()` order, each named by its word's
-        `node_id`, with primes appended by `distinct_names` where two words
-        join to the same id (inputs "i.j" and "i" "j", or an input "ε")."""
-        words = self.words()
-        names = dict(zip(words, distinct_names(map(node_id, words))))
-        delta = {
-            (names[prefix], i): (o, names[prefix + (i,)])
-            for (prefix, i), o in self.edges.items()
-        }
-        return PartialMealyMachine(name, self.inputs, self.outputs, tuple(names.values()), delta)
+        The states come in `words()` order, named as in `_names`."""
+        named = dict(zip(self._order, self._names))
+        delta = {}
+        for p in self._order[1:]:
+            q, k, o = self._into[p]
+            delta[named[q], self.inputs[k]] = (o, named[p])
+        return PartialMealyMachine(name, self.inputs, self.outputs, tuple(self._names), delta)
 
     @property
     def root(self) -> str:
         return ROOT_ID
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObservationTree):
+            return NotImplemented
+        return (self.inputs, self.outputs, self.edges) == (other.inputs, other.outputs, other.edges)
+
+    def __repr__(self) -> str:
+        return f"ObservationTree(inputs={self.inputs!r}, outputs={self.outputs!r}, edges={self.edges!r})"
 
 
 class Teacher:
     """The black box of the learning game.
 
     Holds a hidden machine and answers output queries from a fixed initial
-    state, counting them; after each query the box is back at the initial
-    state.  The hidden machine is deliberately not part of the public
-    surface; `_hidden` exists for tests that need ground truth.
+    state, counting the queries and their symbols; after each query the
+    box is back at the initial state.  The hidden machine is deliberately
+    not part of the public surface; `_hidden` exists for tests that need
+    ground truth.
     """
 
     def __init__(self, hidden: PartialMealyMachine, initial: str):
@@ -130,6 +198,7 @@ class Teacher:
         self._hidden = hidden
         self._initial = initial
         self._count = 0
+        self._symbols = 0
 
     @property
     def inputs(self) -> tuple[str, ...]:
@@ -142,6 +211,11 @@ class Teacher:
     @property
     def queries(self) -> int:
         return self._count
+
+    @property
+    def symbols(self) -> int:
+        """The total length of the queries answered so far."""
+        return self._symbols
 
     def output_query(self, word: Sequence[str]) -> tuple[str, ...]:
         """The outputs along the run of `word` from the initial state, one
@@ -160,6 +234,7 @@ class Teacher:
             o, current = step
             outs.append(o)
         self._count += 1
+        self._symbols += len(word)
         return tuple(outs)
 
 
@@ -169,10 +244,46 @@ def query_and_record(tree: ObservationTree, teacher: Teacher, word: Sequence[str
 
 def tree_apartness_frontier(tree: ObservationTree) -> Relation:
     """All pairs of tree states that are provably apart; the complement of
-    uncertain bisimilarity on the tree's machine.  Recording further
-    observations can only grow this relation."""
-    machine = tree.as_machine()
-    return Relation.from_rows(machine.states, machine.states, _mealy_dead(machine))
+    uncertain bisimilarity on the tree's machine, over the states of
+    `as_machine()`.  Recording further observations can only grow this
+    relation.
+
+    On a tree the pair (x, z) depends only on the deeper pairs (x·i, z·i),
+    so the least fixpoint is one pass over the nodes in reverse
+    breadth-first order:
+
+        apart[x] = OR_i (differ_i[out(x·i)] | lift_i(apart[x·i]))
+
+    where differ_i[o] is the row of the nodes whose i-edge outputs
+    something other than o, and lift_i maps each set bit of an i-child to
+    its parent, through a table of parent bits.  The cost is O(n·|I|)
+    operations on n-bit rows plus one bit scan per child row, which ORs
+    one parent bit per set bit.
+    """
+    order = tree._order
+    rank = [0] * len(order)
+    for r, p in enumerate(order):
+        rank[p] = r
+    # the edge into each non-root node, by rank: (parent's rank, input, output)
+    ranked = [(rank[q], k, o) for q, k, o in map(tree._into.__getitem__, order[1:])]
+    moves = [0] * len(tree.inputs)  # nodes with an i-edge
+    kids = [0] * len(tree.inputs)  # nodes at the end of an i-edge
+    says: list[dict] = [{} for _ in tree.inputs]  # output -> nodes whose i-edge outputs it
+    up = [0]  # the parent's bit, by rank
+    for r, (q, i, o) in enumerate(ranked, 1):
+        bit = 1 << q
+        up.append(bit)
+        moves[i] |= bit
+        kids[i] |= 1 << r
+        says[i][o] = says[i].get(o, 0) | bit
+    apart = [0] * len(order)
+    for r in range(len(order) - 1, 0, -1):  # children come after their parents
+        q, i, o = ranked[r - 1]
+        row, below = moves[i] ^ says[i][o], apart[r] & kids[i]
+        if below:
+            row |= reduce(or_, compress(up, _bits(below)))
+        apart[q] |= row
+    return Relation.from_rows(tree._names, tree._names, apart)
 
 
 @dataclass(frozen=True)
@@ -192,19 +303,20 @@ def find_lax_morphism_from_tree(
     Because the source is a tree, the images propagate deterministically
     along edges; each tree edge must be matched at the image with the same
     output.  On failure, the shortest unmatched access word is returned.
+    The images are propagated over node positions; access words are built
+    only for a conflict.
     """
     hypothesis.check_state(root_target)
     if set(tree.inputs) != set(hypothesis.inputs) or set(tree.outputs) != set(
         hypothesis.outputs
     ):
         raise ContractError("tree and hypothesis must share alphabets")
-    images: dict[tuple[str, ...], str] = {(): root_target}
-    for word in tree.words()[1:]:  # the root comes first
-        prefix, i = word[:-1], word[-1]
-        o = tree.edges[(prefix, i)]
-        step = hypothesis.delta.get((images[prefix], i))
+    images = [root_target] * len(tree._into)
+    for r, p in enumerate(tree._order[1:], 1):  # parents first, shortest words first
+        q, k, o = tree._into[p]
+        step = hypothesis.delta.get((images[q], tree.inputs[k]))
         if step is None or step[0] != o:
-            return TreeConflict(word)
-        images[word] = step[1]
-    machine = tree.as_machine()  # its states name the words in `words()` order
-    return StateMap(machine, hypothesis, dict(zip(machine.states, images.values())))
+            return TreeConflict(tree.words()[r])
+        images[p] = step[1]
+    mapping = {name: images[p] for p, name in zip(tree._order, tree._names)}
+    return StateMap(tree.as_machine(), hypothesis, mapping)

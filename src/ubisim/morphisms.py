@@ -154,7 +154,16 @@ class MergeStep:
 class Conflict:
     """Merging the requested pair forces two states with a common input but
     different outputs into the same class, so no lax map whatsoever can
-    identify the pair."""
+    identify the pair.
+
+    `merges` is the chain of forced identifications in the order they were
+    made; the last one joins the two classes that clash.  `left_state` and
+    `right_state` are the clashing members of those classes, which both
+    move on `input`, with `left_output` and `right_output`.  `word` is the
+    forcing word of the last merge followed by `input`
+    (`merges[-1].word + (input,)`); it is not a path from the requested
+    states to the clashing states, which may lie anywhere in their classes.
+    """
 
     merges: tuple[MergeStep, ...]
     left_state: str

@@ -28,6 +28,7 @@ from ubisim import (
     semantic_oracle_uncertain,
     tree_apartness_frontier,
 )
+from ubisim.bisim import _mealy_dead
 from ubisim.learning import node_id
 from ubisim.machines import PartialMealyMachine
 from ubisim.morphisms import Conflict
@@ -70,6 +71,7 @@ def test_output_query_validation():
     with pytest.raises(ContractError):
         teacher.output_query(("i", "i"))
     assert teacher.queries == 0
+    assert teacher.symbols == 0
 
 
 def test_teacher_counts_queries():
@@ -78,6 +80,7 @@ def test_teacher_counts_queries():
     for k in range(3):
         teacher.output_query(("j",) * (k + 1))
     assert teacher.queries == 3
+    assert teacher.symbols == 1 + 2 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +107,38 @@ def test_record_clash():
     with pytest.raises(ObservationConflictError) as err:
         tree.record(("i",), ("b",))
     assert err.value.prefix == ("i",)
+
+
+def test_equal_trees_mean_equal_observations():
+    # positions follow the order of recording, `==` does not
+    asked = [(("b", "a"), ("y", "x")), (("a",), ("x",)), (("a", "b", "b"), ("x", "x", "y"))]
+    empty = ObservationTree.empty(("a", "b"), ("x", "y"))
+    forward, backward = empty, empty
+    for word, outs in asked:
+        forward = forward.record(word, outs)
+    for word, outs in reversed(asked):
+        backward = backward.record(word, outs)
+    assert forward._into != backward._into
+    assert forward == backward
+    assert forward.words() == backward.words()
+    assert forward.as_machine() == backward.as_machine()
+    assert forward != forward.record(("b", "b"), ("y", "x"))
+    assert forward != empty.record(("b", "a"), ("y", "y"))
+    assert forward != ObservationTree.empty(("b", "a"), ("x", "y"))
+    assert empty != ObservationTree.empty(("a", "b"), ("x",))
+
+
+def test_edges_rebuild_from_words():
+    rng = random.Random(7)
+    hidden = random_total_mealy(rng, 5, 3, 2)
+    teacher = Teacher(hidden, hidden.states[0])
+    tree = ObservationTree.empty(hidden.inputs, hidden.outputs)
+    for _ in range(10):
+        word = [rng.choice(hidden.inputs) for _ in range(rng.randint(1, 4))]
+        tree = query_and_record(tree, teacher, word)
+    rebuilt = {(w[:-1], w[-1]): tree.output_along(w)[-1] for w in tree.words()[1:]}
+    assert tree.edges == rebuilt
+    assert len(tree.edges) == len(tree.words()) - 1
 
 
 def test_record_length_mismatch():
@@ -195,6 +230,70 @@ def test_frontier_monotone_random(data):
         frontier = set(tree_apartness_frontier(tree).pairs)
         assert previous <= frontier
         previous = frontier
+
+
+# four alphabets: the last has a dotted input and an input named like the
+# root, so node names get primes
+ALPHABETS = (("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d"), ("a", "b", "a.b", "ε"))
+
+
+def _observed(hidden, word):
+    """The longest prefix of `word` the hidden machine runs from its first
+    state, with its outputs: queries past a gap of a partial machine stop
+    there, so trees get gaps too."""
+    state, outs = hidden.states[0], []
+    for i in word:
+        step = hidden.delta.get((state, i))
+        if step is None:
+            break
+        outs.append(step[0])
+        state = step[1]
+    return tuple(word[: len(outs)]), tuple(outs)
+
+
+def _position_pairs(tree, frontier):
+    """The frontier as pairs of node positions, packed into ints: a node
+    keeps its position while recording may prime its name."""
+    pos = dict(zip(frontier.left, tree._order))
+    return {pos[x] << 20 | pos[y] for x, y in frontier.ordered_pairs()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    inputs=st.sampled_from(ALPHABETS),
+    size=st.integers(2, 8),
+    density=st.sampled_from((0.5, 0.8, 1.0)),
+    target=st.integers(20, 300),
+)
+def test_frontier_matches_row_engine(seed, inputs, size, density, target):
+    # the one-pass frontier against the general fixpoint engine, after
+    # every record of random queries on random (partial) hidden machines
+    rng = random.Random(seed)
+    states = tuple(f"s{k}" for k in range(size))
+    delta = {
+        (s, i): (rng.choice(("x", "y", "z")), rng.choice(states))
+        for s in states
+        for i in inputs
+        if rng.random() < density
+    }
+    hidden = PartialMealyMachine("h", inputs, ("x", "y", "z"), states, delta)
+    tree = ObservationTree.empty(inputs, hidden.outputs)
+    words, previous = [()], set()
+    for _ in range(4 * target):
+        if len(words) >= target:
+            break
+        base = rng.choice(words)
+        word, outs = _observed(hidden, base + tuple(rng.choice(inputs) for _ in range(rng.randint(1, 6))))
+        tree = tree.record(word, outs)
+        frontier = tree_apartness_frontier(tree)
+        machine = tree.as_machine()
+        assert frontier.rows == tuple(_mealy_dead(machine))
+        assert frontier.left == frontier.right == machine.states
+        words = tree.words()
+        current = _position_pairs(tree, frontier)
+        assert previous <= current
+        previous = current
 
 
 # ---------------------------------------------------------------------------

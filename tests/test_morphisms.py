@@ -187,6 +187,16 @@ def test_identify_conflict_chain():
     assert {result.left_state, result.right_state} == {"x", "z"}
 
 
+def test_identify_conflict_word_is_the_last_forcing_word():
+    # the word is the last merge's forcing word plus the clashing input:
+    # "v w" leads from p to y and from q to z, while the clash is x / z
+    result = lax_identify(conflict_machine(), "p", "q")
+    assert isinstance(result, Conflict)
+    assert result.word == result.merges[-1].word + (result.input,)
+    assert result.word == ("v", "w", "i")
+    assert (result.merges[-1].left, result.merges[-1].right) == ("y", "z")
+
+
 def test_identify_self_is_isomorphic():
     m = conflict_machine()
     result = lax_identify(m, "x", "x")
