@@ -20,7 +20,7 @@ precomputed predecessor rows per label.  A step is then an integer
 operation on an n-bit row, done in C a machine word at a time, where the
 pair-at-a-time propagation paid a Python loop iteration per pair.  The
 engines read each machine's dense successor arrays from its `tables()`,
-over the state positions the machine numbered when it was built.  Rows
+which the machine filled while it validated its transitions.  Rows
 are what a `Relation` stores, so the engines hand theirs over as they are.
 
 `semantic_oracle_uncertain` is a deliberately separate decision path used

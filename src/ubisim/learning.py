@@ -7,10 +7,11 @@ tree states only ever grows as more observations arrive, which is what
 makes it the useful notion during learning.
 
 A tree stores its nodes by position, in the order they were first
-observed, so a parent always comes before its children.  Access words,
-node names and the tree's machine are derived from the positions, in
-breadth-first order; the apartness frontier and lax morphisms out of the
-tree are computed on the positions directly.
+observed, so a parent always comes before its children.  Each tree ranks
+its nodes in breadth-first order once, into a list of the edges into them
+with their parents' ranks; access words, node names, the tree's machine,
+the apartness frontier and lax morphisms out of the tree all read that
+list.
 """
 
 from __future__ import annotations
@@ -123,28 +124,35 @@ class ObservationTree:
         return order
 
     @cached_property
+    def _ranked(self) -> list[tuple[int, int, str]]:
+        """The edge into each non-root node, in `_order`: the parent's rank
+        (its index in `_order`), the position in `inputs` of the input, and
+        the output.  Entry r - 1 is the edge into the node of rank r."""
+        rank = [0] * len(self._into)
+        for r, p in enumerate(self._order):
+            rank[p] = r
+        return [(rank[q], k, o) for q, k, o in map(self._into.__getitem__, self._order[1:])]
+
+    @cached_property
     def _names(self) -> list[str]:
-        """Node names in `_order`: each node's access word joined by
-        `node_id`, with primes appended by `distinct_names` where two words
-        join to the same id (inputs "i.j" and "i" "j", or an input "ε")."""
+        """Node names by rank: each node's access word joined by `node_id`,
+        with primes appended by `distinct_names` where two words join to
+        the same id (inputs "i.j" and "i" "j", or an input "ε")."""
         return distinct_names(map(node_id, self.words()))
 
     def words(self) -> list[tuple[str, ...]]:
         """All access words, shortest first, then by input declaration order."""
-        words = [()] * len(self._into)
-        for p in self._order[1:]:
-            q, k, _ = self._into[p]
-            words[p] = words[q] + (self.inputs[k],)
-        return [words[p] for p in self._order]
+        words = [()]
+        for q, k, _ in self._ranked:
+            words.append(words[q] + (self.inputs[k],))
+        return words
 
     @property
     def edges(self) -> dict[tuple[tuple[str, ...], str], str]:
         """The observations: (access word, input) -> output, in `words()`
         order of the extended word."""
-        return {
-            (word[:-1], word[-1]): self._into[p][2]
-            for p, word in zip(self._order[1:], self.words()[1:])
-        }
+        words = self.words()
+        return {(words[q], self.inputs[k]): o for q, k, o in self._ranked}
 
     def output_along(self, word: Sequence[str]) -> Optional[tuple[str, ...]]:
         """The recorded output sequence for a word, or None if any step of
@@ -158,17 +166,13 @@ class ObservationTree:
             outs.append(self._into[node][2])
         return tuple(outs)
 
-    def as_machine(self, name: str = "tree") -> PartialMealyMachine:
-        """The tree as a partial Mealy machine with states named after their
-        access words, so every relation and morphism operation applies.
-
-        The states come in `words()` order, named as in `_names`."""
-        named = dict(zip(self._order, self._names))
-        delta = {}
-        for p in self._order[1:]:
-            q, k, o = self._into[p]
-            delta[named[q], self.inputs[k]] = (o, named[p])
-        return PartialMealyMachine(name, self.inputs, self.outputs, tuple(self._names), delta)
+    def as_machine(self) -> PartialMealyMachine:
+        """The tree as a partial Mealy machine named "tree", whose states are
+        the `_names` of the access words in `words()` order, so every
+        relation and morphism operation applies."""
+        names, inputs = self._names, self.inputs
+        delta = {(names[q], inputs[k]): (o, names[r]) for r, (q, k, o) in enumerate(self._ranked, 1)}
+        return PartialMealyMachine("tree", inputs, self.outputs, tuple(names), delta)
 
     @property
     def root(self) -> str:
@@ -260,12 +264,7 @@ def tree_apartness_frontier(tree: ObservationTree) -> Relation:
     operations on n-bit rows plus one bit scan per child row, which ORs
     one parent bit per set bit.
     """
-    order = tree._order
-    rank = [0] * len(order)
-    for r, p in enumerate(order):
-        rank[p] = r
-    # the edge into each non-root node, by rank: (parent's rank, input, output)
-    ranked = [(rank[q], k, o) for q, k, o in map(tree._into.__getitem__, order[1:])]
+    ranked = tree._ranked
     moves = [0] * len(tree.inputs)  # nodes with an i-edge
     kids = [0] * len(tree.inputs)  # nodes at the end of an i-edge
     says: list[dict] = [{} for _ in tree.inputs]  # output -> nodes whose i-edge outputs it
@@ -276,8 +275,8 @@ def tree_apartness_frontier(tree: ObservationTree) -> Relation:
         moves[i] |= bit
         kids[i] |= 1 << r
         says[i][o] = says[i].get(o, 0) | bit
-    apart = [0] * len(order)
-    for r in range(len(order) - 1, 0, -1):  # children come after their parents
+    apart = [0] * (len(ranked) + 1)
+    for r in range(len(ranked), 0, -1):  # children come after their parents
         q, i, o = ranked[r - 1]
         row, below = moves[i] ^ says[i][o], apart[r] & kids[i]
         if below:
@@ -303,20 +302,18 @@ def find_lax_morphism_from_tree(
     Because the source is a tree, the images propagate deterministically
     along edges; each tree edge must be matched at the image with the same
     output.  On failure, the shortest unmatched access word is returned.
-    The images are propagated over node positions; access words are built
-    only for a conflict.
+    The images are propagated over the tree's breadth-first ranks; access
+    words are built only for a conflict.
     """
     hypothesis.check_state(root_target)
     if set(tree.inputs) != set(hypothesis.inputs) or set(tree.outputs) != set(
         hypothesis.outputs
     ):
         raise ContractError("tree and hypothesis must share alphabets")
-    images = [root_target] * len(tree._into)
-    for r, p in enumerate(tree._order[1:], 1):  # parents first, shortest words first
-        q, k, o = tree._into[p]
+    images = [root_target]
+    for r, (q, k, o) in enumerate(tree._ranked, 1):  # parents first, shortest words first
         step = hypothesis.delta.get((images[q], tree.inputs[k]))
         if step is None or step[0] != o:
             return TreeConflict(tree.words()[r])
-        images[p] = step[1]
-    mapping = {name: images[p] for p, name in zip(tree._order, tree._names)}
-    return StateMap(tree.as_machine(), hypothesis, mapping)
+        images.append(step[1])
+    return StateMap(tree.as_machine(), hypothesis, dict(zip(tree._names, images)))

@@ -23,9 +23,11 @@ link between them), `map_structure` renames successors, and `assemble`
 builds a machine of a given kind from one structure per state.
 
 Each machine numbers its states once, when it is built: `index` maps each
-state to its position in `states`.  State checks look it up, and `tables()`
-gives the transitions as dense arrays over those positions.  `index` is not
-a dataclass field: it takes no part in `repr` or `==`, and `replace` renews it.
+state to its position in `states`, and state checks look it up.  The pass
+that validates the transitions also fills the dense arrays over those
+positions that `tables()` returns, the same read-only lists on every call.
+`index` and the tables are not dataclass fields: they take no part in
+`repr` or `==`, and `replace` builds them anew.
 """
 
 from __future__ import annotations
@@ -50,13 +52,18 @@ def _unique(items, what: str) -> dict:
     return index
 
 
-def _table(index: Mapping[str, int], labels, trans: Mapping, cell: Callable, empty) -> list[list]:
-    """Per label, `cell` of each state's transition entry in `trans` (keyed
-    by (state, label)) at the state's position, `empty` where it has none."""
-    pos = {label: k for k, label in enumerate(labels)}
-    rows = [[empty] * len(index) for _ in labels]
-    for (src, label), entry in trans.items():
-        rows[pos[label]][index[src]] = cell(entry)
+def _sa_table(index: dict, labels: dict, trans: Mapping, what: str) -> list[list[int]]:
+    """Per label, each state's successor position in `trans`, -1 where it
+    has none; refuses unknown states and labels."""
+    rows = [[-1] * len(index) for _ in labels]
+    for (src, label), dst in trans.items():
+        x, d = index.get(src), index.get(dst)
+        if x is None or d is None:
+            raise ValidationError(f"{what} transition {src!r} -{label}-> {dst!r} uses unknown state")
+        k = labels.get(label)
+        if k is None:
+            raise ValidationError(f"{what} transition on unknown symbol {label!r}")
+        rows[k][x] = d
     return rows
 
 
@@ -304,25 +311,30 @@ class PartialMealyMachine:
         object.__setattr__(self, "outputs", tuple(self.outputs))
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "delta", dict(self.delta))
-        _unique(self.inputs, "input symbol")
-        _unique(self.outputs, "output symbol")
-        object.__setattr__(self, "index", _unique(self.states, "state"))
+        inputs = _unique(self.inputs, "input symbol")
+        outputs = _unique(self.outputs, "output symbol")
+        index = _unique(self.states, "state")
+        succ = [[-1] * len(index) for _ in inputs]
+        out: list[list[Optional[str]]] = [[None] * len(index) for _ in inputs]
         for (src, i), (o, dst) in self.delta.items():
-            if src not in self.index:
+            x, k = index.get(src), inputs.get(i)
+            if x is None:
                 raise ValidationError(f"transition from unknown state {src!r}")
-            if i not in self.inputs:
+            if k is None:
                 raise ValidationError(f"transition on unknown input {i!r}")
-            if o not in self.outputs:
+            if o not in outputs:
                 raise ValidationError(f"transition with unknown output {o!r}")
-            if dst not in self.index:
+            d = index.get(dst)
+            if d is None:
                 raise ValidationError(f"transition to unknown state {dst!r}")
+            succ[k][x], out[k][x] = d, o
         if self.total:
-            for s in self.states:
-                for i in self.inputs:
-                    if (s, i) not in self.delta:
-                        raise ValidationError(
-                            f"machine declared total but {s!r} has no transition on {i!r}"
-                        )
+            for s, row in zip(self.states, zip(*succ)):  # state-major: the first hole
+                if -1 in row:
+                    i = self.inputs[row.index(-1)]
+                    raise ValidationError(f"machine declared total but {s!r} has no transition on {i!r}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_tables", (succ, out))
 
     def check_state(self, state: str) -> None:
         if state not in self.index:
@@ -342,12 +354,9 @@ class PartialMealyMachine:
 
     def tables(self) -> tuple[list[list[int]], list[list[Optional[str]]]]:
         """Per input, each state's successor position (-1 when unknown) and
-        output (None when unknown), as [input][state]; built on every call."""
-        index = self.index
-        return (
-            _table(index, self.inputs, self.delta, lambda e: index[e[1]], -1),
-            _table(index, self.inputs, self.delta, lambda e: e[0], None),
-        )
+        output (None when unknown), as [input][state].  The constructor
+        built them; every call returns the same lists, which are read-only."""
+        return self._tables
 
 
 @dataclass(frozen=True)
@@ -370,22 +379,16 @@ class SuspensionAutomaton:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "din", dict(self.din))
         object.__setattr__(self, "dout", dict(self.dout))
-        _unique(self.inputs, "input symbol")
-        _unique(self.outputs, "output symbol")
-        object.__setattr__(self, "index", _unique(self.states, "state"))
-        for (src, a), dst in self.din.items():
-            if src not in self.index or dst not in self.index:
-                raise ValidationError(f"input transition {src!r} -{a}-> {dst!r} uses unknown state")
-            if a not in self.inputs:
-                raise ValidationError(f"input transition on unknown symbol {a!r}")
-        for (src, o), dst in self.dout.items():
-            if src not in self.index or dst not in self.index:
-                raise ValidationError(f"output transition {src!r} -{o}-> {dst!r} uses unknown state")
-            if o not in self.outputs:
-                raise ValidationError(f"output transition on unknown symbol {o!r}")
-        for s in self.states:
-            if not any((s, o) in self.dout for o in self.outputs):
+        inputs = _unique(self.inputs, "input symbol")
+        outputs = _unique(self.outputs, "output symbol")
+        index = _unique(self.states, "state")
+        ins = _sa_table(index, inputs, self.din, "input")
+        outs = _sa_table(index, outputs, self.dout, "output")
+        for x, s in enumerate(self.states):
+            if all(row[x] < 0 for row in outs):
                 raise ValidationError(f"blocking state {s!r}: no output transition")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_tables", (ins, outs))
 
     def check_state(self, state: str) -> None:
         if state not in self.index:
@@ -402,9 +405,9 @@ class SuspensionAutomaton:
 
     def tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """Per input, then per output, each state's successor position (-1
-        when there is none), as [label][state]; built on every call."""
-        index, at = self.index, self.index.__getitem__
-        return _table(index, self.inputs, self.din, at, -1), _table(index, self.outputs, self.dout, at, -1)
+        when there is none), as [label][state].  The constructor built them;
+        every call returns the same lists, which are read-only."""
+        return self._tables
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ produces a canonical form that `parse` maps back to the same document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .errors import ParseError, UbisimError
 from .machines import PartialMealyMachine, SuspensionAutomaton
@@ -84,26 +84,24 @@ class _MachineBuilder:
         self.kind = kind
         self.name = name
         self.line = line
-        self.inputs: Optional[tuple[str, ...]] = None
-        self.outputs: Optional[tuple[str, ...]] = None
-        self.states: Optional[tuple[str, ...]] = None
+        self.lists: dict[str, tuple[str, ...]] = {}  # the inputs, outputs and states lines
+        self.sets: dict[str, frozenset] = {}  # the same lists, for lookups
         self.delta: dict = {}
         self.din: dict = {}
         self.dout: dict = {}
 
-    def need(self, what, line) -> tuple:
-        value = getattr(self, what)
-        if value is None:
+    def need(self, what, line) -> frozenset:
+        if what not in self.sets:
             raise ParseError(f"{what} must be declared before use", line)
-        return value
+        return self.sets[what]
 
     def feed(self, key: str, args: list[str], line: int) -> None:
         if key in ("inputs", "outputs", "states"):
-            if getattr(self, key) is not None:
+            if key in self.lists:
                 raise ParseError(f"duplicate {key} line", line)
             if not args:
                 raise ParseError(f"empty {key} list", line)
-            setattr(self, key, tuple(args))
+            self.lists[key], self.sets[key] = tuple(args), frozenset(args)
             return
         if key == "trans":
             if self.kind not in ("mealy", "total-mealy"):
@@ -111,10 +109,10 @@ class _MachineBuilder:
             if len(args) != 4:
                 raise ParseError("trans needs <src> <in> <out> <dst>", line)
             src, i, o, dst = args
-            self._check(src, "state", self.need("states", line), line)
-            self._check(i, "input", self.need("inputs", line), line)
-            self._check(o, "output", self.need("outputs", line), line)
-            self._check(dst, "state", self.states, line)
+            self._check(src, "state", "states", line)
+            self._check(i, "input", "inputs", line)
+            self._check(o, "output", "outputs", line)
+            self._check(dst, "state", "states", line)
             if (src, i) in self.delta:
                 raise ParseError(f"duplicate transition for ({src}, {i})", line)
             self.delta[(src, i)] = (o, dst)
@@ -125,35 +123,34 @@ class _MachineBuilder:
             if len(args) != 3:
                 raise ParseError(f"{key} needs <src> <sym> <dst>", line)
             src, sym, dst = args
-            self._check(src, "state", self.need("states", line), line)
-            self._check(dst, "state", self.states, line)
+            self._check(src, "state", "states", line)
+            self._check(dst, "state", "states", line)
+            self._check(sym, "symbol", "inputs" if key == "itrans" else "outputs", line)
             table = self.din if key == "itrans" else self.dout
-            alphabet = self.need("inputs" if key == "itrans" else "outputs", line)
-            self._check(sym, "symbol", alphabet, line)
             if (src, sym) in table:
                 raise ParseError(f"duplicate {key} for ({src}, {sym})", line)
             table[(src, sym)] = dst
             return
         raise ParseError(f"unexpected {key!r} in a machine section", line)
 
-    @staticmethod
-    def _check(tok, what, declared, line):
-        if tok not in declared:
+    def _check(self, tok, what, key, line):
+        if tok not in self.need(key, line):
             raise ParseError(f"undeclared {what} {tok!r}", line)
 
     def build(self) -> Union[PartialMealyMachine, SuspensionAutomaton]:
         for what in ("inputs", "outputs", "states"):
             self.need(what, self.line)
+        inputs, outputs, states = (self.lists[what] for what in ("inputs", "outputs", "states"))
         try:
             if self.kind == "sa":
                 return SuspensionAutomaton(
-                    self.name, self.inputs, self.outputs, self.states, self.din, self.dout
+                    self.name, inputs, outputs, states, self.din, self.dout
                 )
             return PartialMealyMachine(
                 self.name,
-                self.inputs,
-                self.outputs,
-                self.states,
+                inputs,
+                outputs,
+                states,
                 self.delta,
                 total=(self.kind == "total-mealy"),
             )
@@ -169,6 +166,7 @@ class _PairsBuilder:
         self.right = right
         self.line = line
         self.pairs: list[tuple[str, str]] = []
+        self.sources: set[str] = set()
         self.machines = machines
         for mname in (left, right):
             if mname not in machines:
@@ -182,8 +180,9 @@ class _PairsBuilder:
             raise ParseError(f"undeclared state {s!r} in machine {self.left!r}", line)
         if t not in self.machines[self.right].index:
             raise ParseError(f"undeclared state {t!r} in machine {self.right!r}", line)
-        if self.kind == "map" and any(p[0] == s for p in self.pairs):
+        if self.kind == "map" and s in self.sources:
             raise ParseError(f"duplicate map entry for {s!r}", line)
+        self.sources.add(s)
         self.pairs.append((s, t))
 
     def build(self) -> Union[MapDecl, RelDecl]:

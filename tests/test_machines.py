@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -38,26 +39,59 @@ from ubisim.machines import distinct_names
 # construction and validation
 
 
+def refused(message):
+    return pytest.raises(ValidationError, match=f"^{re.escape(message)}$")
+
+
 def test_machine_validation():
-    with pytest.raises(ValidationError):
+    with refused("duplicate state: 's'"):
         PartialMealyMachine("m", ("i",), ("o",), ("s", "s"), {})
-    with pytest.raises(ValidationError):
-        PartialMealyMachine("m", ("i",), ("o",), ("s",), {("s", "i"): ("o", "t")})
-    with pytest.raises(ValidationError):
-        PartialMealyMachine("m", ("i",), ("o",), ("s",), {("s", "j"): ("o", "s")})
-    with pytest.raises(ValidationError):
-        PartialMealyMachine("m", ("i",), ("o",), ("s",), {("s", "i"): ("p", "s")})
+    for delta, message in [
+        ({("u", "i"): ("o", "s")}, "transition from unknown state 'u'"),
+        ({("s", "j"): ("o", "s")}, "transition on unknown input 'j'"),
+        ({("s", "i"): ("p", "s")}, "transition with unknown output 'p'"),
+        ({("s", "i"): ("o", "t")}, "transition to unknown state 't'"),
+        # a transition with several faults reports the first in this order
+        ({("u", "j"): ("p", "t")}, "transition from unknown state 'u'"),
+        ({("s", "j"): ("p", "t")}, "transition on unknown input 'j'"),
+        ({("s", "i"): ("p", "t")}, "transition with unknown output 'p'"),
+    ]:
+        with refused(message):
+            PartialMealyMachine("m", ("i",), ("o",), ("s",), delta)
 
 
 def test_total_machine_validation():
     delta = {("s", "i"): ("o", "s")}
     PartialMealyMachine("m", ("i",), ("o",), ("s",), delta, total=True)
-    with pytest.raises(ValidationError):
+    with refused("machine declared total but 's' has no transition on 'j'"):
         PartialMealyMachine("m", ("i", "j"), ("o",), ("s",), delta, total=True)
+    # holes at (s, j) and (t, i): the first in state-major order is reported
+    delta = {("s", "i"): ("o", "t"), ("t", "j"): ("o", "s")}
+    with refused("machine declared total but 's' has no transition on 'j'"):
+        PartialMealyMachine("m", ("i", "j"), ("o",), ("s", "t"), delta, total=True)
+
+
+def test_sa_validation():
+    def automaton(din, dout):
+        return SuspensionAutomaton("a", ("i",), ("o",), ("s", "t"), din, dout)
+
+    fine = {("s", "o"): "t", ("t", "o"): "s"}
+    for din, dout, message in [
+        ({("s", "i"): "u"}, fine, "input transition 's' -i-> 'u' uses unknown state"),
+        ({("u", "i"): "s"}, fine, "input transition 'u' -i-> 's' uses unknown state"),
+        ({}, {**fine, ("u", "o"): "s"}, "output transition 'u' -o-> 's' uses unknown state"),
+        ({("s", "j"): "t"}, fine, "input transition on unknown symbol 'j'"),
+        ({}, {**fine, ("s", "p"): "t"}, "output transition on unknown symbol 'p'"),
+        # unknown states come before unknown symbols, inputs before outputs
+        ({("u", "j"): "s"}, fine, "input transition 'u' -j-> 's' uses unknown state"),
+        ({("s", "j"): "t"}, {**fine, ("u", "o"): "s"}, "input transition on unknown symbol 'j'"),
+    ]:
+        with refused(message):
+            automaton(din, dout)
 
 
 def test_sa_non_blocking():
-    with pytest.raises(ValidationError):
+    with refused("blocking state 't': no output transition"):
         SuspensionAutomaton("a", ("i",), ("o",), ("s", "t"), {}, {("s", "o"): "t"})
 
 
@@ -88,32 +122,66 @@ def test_index_numbers_states_in_order():
         assert m.index == {s: m.states.index(s) for s in m.states}
 
 
-def test_mealy_tables_agree_with_delta():
-    for m in list(mealy_corpus(100)) + list(quadruple()):
-        succ, out = m.tables()
-        assert len(succ) == len(out) == len(m.inputs)
-        for k, i in enumerate(m.inputs):
-            assert len(succ[k]) == len(out[k]) == len(m.states)
-            for x, s in enumerate(m.states):
-                e = m.delta.get((s, i))
-                assert succ[k][x] == (-1 if e is None else m.states.index(e[1]))
-                assert out[k][x] == (None if e is None else e[0])
+def assert_mealy_tables(m):
+    succ, out = m.tables()
+    assert len(succ) == len(out) == len(m.inputs)
+    for k, i in enumerate(m.inputs):
+        assert len(succ[k]) == len(out[k]) == len(m.states)
+        for x, s in enumerate(m.states):
+            e = m.delta.get((s, i))
+            assert succ[k][x] == (-1 if e is None else m.states.index(e[1]))
+            assert out[k][x] == (None if e is None else e[0])
 
 
-def test_sa_tables_agree_with_din_and_dout():
+def assert_sa_tables(a):
+    ins, outs = a.tables()
+    for labels, trans, rows in ((a.inputs, a.din, ins), (a.outputs, a.dout, outs)):
+        assert len(rows) == len(labels)
+        for k, label in enumerate(labels):
+            expected = [trans.get((s, label)) for s in a.states]
+            assert rows[k] == [-1 if d is None else a.states.index(d) for d in expected]
+
+
+def random_automata():
     rng = random.Random(7)
     C, D, _ = sa_pair()
-    automata = [C, D] + [
+    return [C, D] + [
         random_sa(rng, rng.randint(1, 8), ("a", "b")[: rng.randint(1, 2)], ("u", "v", "w")[: rng.randint(2, 3)])
         for _ in range(100)
     ]
-    for a in automata:
-        ins, outs = a.tables()
-        for labels, trans, rows in ((a.inputs, a.din, ins), (a.outputs, a.dout, outs)):
-            assert len(rows) == len(labels)
-            for k, label in enumerate(labels):
-                expected = [trans.get((s, label)) for s in a.states]
-                assert rows[k] == [-1 if d is None else a.states.index(d) for d in expected]
+
+
+def test_mealy_tables_agree_with_delta():
+    for m in list(mealy_corpus(100)) + list(quadruple()):
+        assert_mealy_tables(m)
+
+
+def test_sa_tables_agree_with_din_and_dout():
+    for a in random_automata():
+        assert_sa_tables(a)
+
+
+def test_tables_are_built_once():
+    for m in [*mealy_corpus(20), *random_automata()[:20]]:
+        first, again = m.tables(), m.tables()
+        assert first[0] is again[0] and first[1] is again[1]
+
+
+def test_replace_builds_new_tables():
+    rng = random.Random(11)
+    for m in mealy_corpus(50):
+        # drop some transitions and redirect the rest to random states
+        delta = {
+            key: (o, rng.choice(m.states)) for key, (o, _) in m.delta.items() if rng.random() < 0.7
+        }
+        changed = dataclasses.replace(m, delta=delta)
+        assert changed.tables()[0] is not m.tables()[0]
+        assert_mealy_tables(changed)
+    for a in random_automata()[:50]:
+        flipped = {key: rng.choice(a.states) for key in a.din}
+        changed = dataclasses.replace(a, din=flipped, dout={(s, a.outputs[0]): s for s in a.states})
+        assert changed.tables()[0] is not a.tables()[0]
+        assert_sa_tables(changed)
 
 
 def test_index_is_not_a_field():

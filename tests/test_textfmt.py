@@ -87,6 +87,17 @@ def test_parse_error_non_total_map():
         parse(text)
 
 
+def test_parse_error_duplicate_map_entry():
+    text = (
+        "mealy m\ninputs i\noutputs o\nstates s t\n\n"
+        "mealy n\ninputs i\noutputs o\nstates u v\n\n"
+        "map f from m to n\npair s u\npair t u\npair s v\n"
+    )
+    with pytest.raises(ParseError, match="duplicate map entry for 's'") as err:
+        parse(text)
+    assert line_of(err) == 14
+
+
 def test_parse_error_duplicate_names():
     with pytest.raises(ParseError) as err:
         parse("mealy m\ninputs i\noutputs o\nstates s\n\nmealy m\ninputs i\noutputs o\nstates s\n")
