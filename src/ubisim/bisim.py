@@ -32,7 +32,6 @@ product breadth-first search of `apartness_witness`.
 from __future__ import annotations
 
 import itertools
-import logging
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -41,11 +40,8 @@ from operator import or_
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
-from .lifting import _uncertain_linked
 from .machines import PartialMealyMachine, SuspensionAutomaton, eval_semantics
 from .relations import Relation, _bits
-
-log = logging.getLogger(__name__)
 
 DEFAULT_ORACLE_BUDGET = 20_000
 
@@ -309,7 +305,9 @@ def semantic_oracle_uncertain(
                     return False
         return True
 
-    log.info(
+    import logging  # for this line only, so that no decision procedure loads it
+
+    logging.getLogger(__name__).info(
         "oracle word budget exceeded (%d > %d); using product-graph reachability",
         total, budget,
     )
@@ -320,6 +318,8 @@ def relation_is_uncertain_bisimulation(m: PartialMealyMachine, rel: Relation) ->
     """Check an arbitrary relation (not necessarily the greatest one): every
     related pair's one-step behaviours must be related by the uncertain
     lifting of the relation itself."""
+    from .lifting import _uncertain_linked  # the only caller; no subcommand loads lifting
+
     if set(rel.left) - set(m.states) or set(rel.right) - set(m.states):
         raise ValidationError("relation carrier leaves the machine's state set")
     square = Relation.square(m.states, rel.ordered_pairs())

@@ -7,6 +7,13 @@ verdict.
 
 States are addressed as "<machine>:<state>"; when the two addresses name
 different machines of one file, the tool works on their disjoint union.
+
+Every subcommand parses a file, so the parsing layer (`errors`,
+`machines`, `textfmt`) is imported here.  The rest of the library loads
+only in the handlers that run it: a handler reads those names as
+attributes of this module (`_cli.name`), which the module `__getattr__`
+resolves through the package's table on first use and keeps as globals.
+A name rebound on this module is therefore what the handlers call.
 """
 
 from __future__ import annotations
@@ -14,22 +21,20 @@ from __future__ import annotations
 import argparse
 import sys
 
-# No subcommand calls uncertain_bisimilarity (`check` asks about one pair
-# only), but bench/worker.py traces the CLI by wrapping each name this
-# module imports from the library, so the name stays importable here.
-from .bisim import (  # noqa: F401
-    ApartnessWitness,
-    apartness_witness,
-    bisimilarity,
-    ioco_compatibility,
-    uncertain_bisimilarity,
-)
+import ubisim
+
 from .errors import UbisimError, ValidationError
-from .learning import ObservationTree, Teacher, query_and_record, tree_apartness_frontier
 from .machines import PartialMealyMachine, SuspensionAutomaton, disjoint_union
-from .morphisms import Conflict, check_morphism, lax_identify, restrict_along
-from .simulation import joint_simulator, simulation_violation
 from .textfmt import Document, parse_file, render
+
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in ubisim.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(ubisim, name)
+    return value
 
 
 def _split_address(addr: str) -> tuple[str, str]:
@@ -69,7 +74,7 @@ def _print_machine(machine) -> None:
     print(render(Document((machine,))), end="")
 
 
-def _witness_line(w: ApartnessWitness) -> str:
+def _witness_line(w: ubisim.ApartnessWitness) -> str:
     return "APART " + " ".join(w.word) + f" {w.left_output} {w.right_output}"
 
 
@@ -82,7 +87,7 @@ def _cmd_check(args) -> int:
     machine, x, y = _resolve_pair(doc, args.state1, args.state2)
     if not isinstance(machine, PartialMealyMachine):
         raise ValidationError("uncertain check needs mealy machines")
-    if apartness_witness(machine, x, y) is None:
+    if _cli.apartness_witness(machine, x, y) is None:
         print("UNCERTAIN-BISIMILAR")
         return 0
     print("APART")
@@ -94,7 +99,7 @@ def _cmd_witness(args) -> int:
     machine, x, y = _resolve_pair(doc, args.state1, args.state2)
     if not isinstance(machine, PartialMealyMachine):
         raise ValidationError("witness needs mealy machines")
-    w = apartness_witness(machine, x, y)
+    w = _cli.apartness_witness(machine, x, y)
     if w is None:
         print("UNCERTAIN-BISIMILAR")
         return 0
@@ -107,7 +112,7 @@ def _cmd_bisim(args) -> int:
     machine = _get_machine(doc, args.machine)
     if not isinstance(machine, PartialMealyMachine):
         raise ValidationError("bisim needs a mealy machine")
-    rel = bisimilarity(machine)
+    rel = _cli.bisimilarity(machine)
     print(f"BISIMILARITY {machine.name} {len(rel)}")
     for x, y in rel.ordered_pairs():
         print(f"pair {x} {y}")
@@ -119,7 +124,7 @@ def _cmd_ioco_compat(args) -> int:
     machine = _get_machine(doc, args.machine)
     if not isinstance(machine, SuspensionAutomaton):
         raise ValidationError("ioco-compat needs a suspension automaton")
-    rel = ioco_compatibility(machine)
+    rel = _cli.ioco_compatibility(machine)
     print(f"IOCO-COMPATIBILITY {machine.name} {len(rel)}")
     for x, y in rel.ordered_pairs():
         print(f"pair {x} {y}")
@@ -131,7 +136,7 @@ def _cmd_morphism(args) -> int:
     maps = doc.maps()
     if args.map not in maps:
         raise ValidationError(f"no map named {args.map!r} in the file")
-    report = check_morphism(maps[args.map].statemap, args.kind)
+    report = _cli.check_morphism(maps[args.map].statemap, args.kind)
     if report.ok:
         print("OK")
         return 0
@@ -145,8 +150,8 @@ def _cmd_identify(args) -> int:
     machine, x, y = _resolve_pair(doc, args.state1, args.state2)
     if not isinstance(machine, PartialMealyMachine):
         raise ValidationError("identify needs mealy machines")
-    result = lax_identify(machine, x, y)
-    if isinstance(result, Conflict):
+    result = _cli.lax_identify(machine, x, y)
+    if isinstance(result, _cli.Conflict):
         for step in result.merges:
             print(f"merge {step.left} {step.right}")
         print(f"conflict {result.input} {result.left_output} {result.right_output}")
@@ -159,8 +164,8 @@ def _cmd_identify(args) -> int:
 def _cmd_join(args) -> int:
     doc = parse_file(args.file)
     machine, x, y = _resolve_pair(doc, args.state1, args.state2)
-    result = joint_simulator(machine, x, y)
-    if isinstance(result, ApartnessWitness):
+    result = _cli.joint_simulator(machine, x, y)
+    if isinstance(result, _cli.ApartnessWitness):
         print(_witness_line(result))
         return 1
     if result is None:
@@ -176,12 +181,12 @@ def _cmd_restrict(args) -> int:
     if args.map not in maps:
         raise ValidationError(f"no map named {args.map!r} in the file")
     statemap = maps[args.map].statemap
-    report = check_morphism(statemap, "oplax")
+    report = _cli.check_morphism(statemap, "oplax")
     if not report.ok:
         for v in report.violations:
             print(f"VIOLATION {v.state} {v.side} {v.symbol}")
         return 1
-    _print_machine(restrict_along(statemap))
+    _print_machine(_cli.restrict_along(statemap))
     return 0
 
 
@@ -193,7 +198,7 @@ def _cmd_simulate(args) -> int:
     decl = rels[args.rel]
     machines = doc.machines()
     src, dst = machines[decl.left_machine], machines[decl.right_machine]
-    violation = simulation_violation(decl.relation, src, dst)
+    violation = _cli.simulation_violation(decl.relation, src, dst)
     if violation is None:
         print("SIMULATION")
         return 0
@@ -210,15 +215,15 @@ def _cmd_learn_demo(args) -> int:
     hidden = _get_machine(doc, name)
     if not isinstance(hidden, PartialMealyMachine):
         raise ValidationError("learn-demo needs a mealy machine")
-    teacher = Teacher(hidden, hidden.states[0])
-    tree = ObservationTree.empty(hidden.inputs, hidden.outputs)
+    teacher = _cli.Teacher(hidden, hidden.states[0])
+    tree = _cli.ObservationTree.empty(hidden.inputs, hidden.outputs)
     for chunk in args.queries.split(","):
         word = tuple(chunk.split())
         if not word:
             raise ValidationError("queries must be non-empty words")
-        tree = query_and_record(tree, teacher, word)
+        tree = _cli.query_and_record(tree, teacher, word)
     _print_machine(tree.as_machine())
-    frontier = tree_apartness_frontier(tree)
+    frontier = _cli.tree_apartness_frontier(tree)
     for x, y in frontier.ordered_pairs():
         print(f"apart {x} {y}")
     print(f"queries {teacher.queries}")

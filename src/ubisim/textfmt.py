@@ -30,12 +30,14 @@ produces a canonical form that `parse` maps back to the same document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import ParseError, UbisimError
 from .machines import PartialMealyMachine, SuspensionAutomaton
-from .morphisms import StateMap
 from .relations import Relation
+
+if TYPE_CHECKING:
+    from .morphisms import StateMap
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,8 @@ class _PairsBuilder:
                 self.right,
                 Relation(left_m.states, right_m.states, frozenset(self.pairs)),
             )
+        from .morphisms import StateMap  # only files with a map section load it
+
         try:
             statemap = StateMap(left_m, right_m, dict(self.pairs), name=self.name)
         except UbisimError as exc:

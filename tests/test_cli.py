@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import ubisim
+import ubisim.cli as cli
 from helpers import fixture_path
 from ubisim.cli import main
 
@@ -127,3 +129,51 @@ def test_restrict_refuses_suspension_automata(tmp_path, capsys):
 def test_check_needs_mealy_machines():
     code, _ = run_cli(["check", "uncertain", PATHS["sa_morphism"], "C:1", "D:1'"])
     assert code == 2
+
+
+# The names bench/worker.py (CLI_CALLS) rebinds on `ubisim.cli` to trace
+# each library call the CLI makes, and the classes whose methods it wraps
+# (CLI_METHODS), all looked up with getattr.
+TRACED_CALLS = (
+    "parse_file", "render", "disjoint_union", "uncertain_bisimilarity", "bisimilarity",
+    "ioco_compatibility", "apartness_witness", "check_morphism", "lax_identify",
+    "restrict_along", "joint_simulator", "simulation_violation", "tree_apartness_frontier",
+)
+TRACED_METHODS = (("Teacher", "output_query"), ("ObservationTree", "record"),
+                  ("ObservationTree", "as_machine"))
+
+
+def test_traced_names_resolve_on_the_cli_module():
+    for name in TRACED_CALLS:
+        assert getattr(cli, name) is getattr(ubisim, name), name
+    for cls, method in TRACED_METHODS:
+        assert callable(getattr(getattr(ubisim, cls), method))
+
+
+@pytest.mark.parametrize("golden, name", [
+    ("check_apart.txt", "parse_file"),
+    ("check_apart.txt", "disjoint_union"),
+    ("check_apart.txt", "apartness_witness"),
+    ("witness_p_r.txt", "apartness_witness"),
+    ("bisim_hypothesis.txt", "bisimilarity"),
+    ("ioco_compat_C.txt", "ioco_compatibility"),
+    ("morphism_g_lax.txt", "check_morphism"),
+    ("identify_conflict.txt", "lax_identify"),
+    ("identify_quotient.txt", "render"),
+    ("join_q_s.txt", "joint_simulator"),
+    ("restrict_k.txt", "restrict_along"),
+    ("simulate_q_p.txt", "simulation_violation"),
+    ("learn_demo.txt", "tree_apartness_frontier"),
+])
+def test_handlers_call_the_module_attribute(monkeypatch, golden, name):
+    # a name rebound on `ubisim.cli` is what the handler calls
+    argv, expected_code, expected_out = load_golden(GOLDEN / golden)
+    real, calls = getattr(cli, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert run_cli(argv) == (expected_code, expected_out)
+    assert calls

@@ -1,0 +1,169 @@
+"""The package surface and what each entry point loads.
+
+`import ubisim` loads no submodule: each public name loads its home module
+on first access.  The CLI imports the parsing layer and loads the rest in
+the handler that runs it.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ubisim
+import ubisim.cli
+from helpers import fixture_path
+
+# every public name, by its home module
+PUBLIC = {
+    "ApartnessWitness": "bisim",
+    "apartness_witness": "bisim",
+    "bisimilarity": "bisim",
+    "ioco_compatibility": "bisim",
+    "relation_is_ioco_compatibility": "bisim",
+    "relation_is_uncertain_bisimulation": "bisim",
+    "semantic_oracle_uncertain": "bisim",
+    "uncertain_bisimilarity": "bisim",
+    "ContractError": "errors",
+    "EnumerationLimitError": "errors",
+    "ObservationConflictError": "errors",
+    "ParseError": "errors",
+    "UbisimError": "errors",
+    "ValidationError": "errors",
+    "ObservationTree": "learning",
+    "Teacher": "learning",
+    "TreeConflict": "learning",
+    "find_lax_morphism_from_tree": "learning",
+    "query_and_record": "learning",
+    "tree_apartness_frontier": "learning",
+    "in_lifting": "lifting",
+    "in_uncertain_lifting": "lifting",
+    "in_uncertain_lifting_enumerated": "lifting",
+    "stability_check": "lifting",
+    "MealySuccessors": "machines",
+    "PartialMealyMachine": "machines",
+    "PowSuccessors": "machines",
+    "PowersetSystem": "machines",
+    "SaSuccessors": "machines",
+    "SuspensionAutomaton": "machines",
+    "disjoint_union": "machines",
+    "eval_semantics": "machines",
+    "map_structure": "machines",
+    "order_leq": "machines",
+    "run": "machines",
+    "Conflict": "morphisms",
+    "MorphismReport": "morphisms",
+    "Quotient": "morphisms",
+    "StateMap": "morphisms",
+    "Violation": "morphisms",
+    "check_morphism": "morphisms",
+    "kernel": "morphisms",
+    "lax_identify": "morphisms",
+    "restrict_along": "morphisms",
+    "Relation": "relations",
+    "inverse_image": "relations",
+    "kernel_relation": "relations",
+    "JointSimulator": "simulation",
+    "SimulationWitness": "simulation",
+    "SpanFailure": "simulation",
+    "check_simulation": "simulation",
+    "hj_to_openmap": "simulation",
+    "joint_simulator": "simulation",
+    "simulation_violation": "simulation",
+    "synthesize_span_structure": "simulation",
+    "witness_violations": "simulation",
+    "Document": "textfmt",
+    "MapDecl": "textfmt",
+    "RelDecl": "textfmt",
+    "parse": "textfmt",
+    "parse_file": "textfmt",
+    "render": "textfmt",
+}
+
+
+def test_all_is_the_public_surface():
+    assert len(PUBLIC) == 62
+    assert ubisim.__all__ == sorted(PUBLIC)
+
+
+def test_each_name_is_its_home_modules_attribute():
+    for name, home in PUBLIC.items():
+        value = getattr(ubisim, name)
+        module = sys.modules[f"ubisim.{home}"]
+        assert value is getattr(module, name), name
+        # resolved once, then kept as a plain attribute of the package
+        assert vars(ubisim)[name] is value, name
+        assert getattr(ubisim, home) is module
+
+
+def test_dir_lists_the_public_names():
+    assert set(PUBLIC) <= set(dir(ubisim))
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from ubisim import *", namespace)
+    for name in PUBLIC:
+        assert namespace[name] is getattr(ubisim, name), name
+    assert not {"bisim", "textfmt"} & set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ubisim.no_such_name
+    assert not hasattr(ubisim, "no_such_name")
+    assert not hasattr(ubisim.cli, "no_such_name")
+    assert not hasattr(ubisim.cli, "bisim")
+
+
+SRC = str(Path(ubisim.__file__).resolve().parents[1])
+
+# run in a fresh interpreter; prints the ubisim modules and `logging` that
+# the body loaded, after whatever the interpreter loaded at start-up
+LOAD_SET = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+before = set(sys.modules)
+{body}
+print(json.dumps(sorted(m for m in set(sys.modules) - before
+                        if m.split(".")[0] in ("ubisim", "logging"))))
+"""
+
+
+def loaded_by(body):
+    script = LOAD_SET.format(src=SRC, body=body)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def cli_run(argv):
+    return (f"import ubisim.cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert ubisim.cli.main({argv!r}) in (0, 1)")
+
+
+PARSING = {"ubisim", "ubisim.cli", "ubisim.errors", "ubisim.machines", "ubisim.relations",
+           "ubisim.textfmt"}
+
+
+def test_import_loads_no_submodule():
+    assert loaded_by("import ubisim") == {"ubisim"}
+
+
+def test_check_loads_only_the_parser_and_bisim():
+    # conflict_tree.txt has no map section, so parsing it needs no StateMap
+    path = fixture_path("conflict_tree.txt")
+    loaded = loaded_by(cli_run(["check", "uncertain", path, "m:p", "m:q"]))
+    assert loaded == PARSING | {"ubisim.bisim"}
+    assert not {"ubisim.learning", "ubisim.simulation", "ubisim.lifting", "ubisim.morphisms",
+                "logging"} & loaded
+
+
+def test_learn_demo_loads_no_decision_procedure():
+    argv = ["learn-demo", "--hidden", f"{fixture_path('lax_chain.txt')}:B", "--queries", "j j i, i"]
+    loaded = loaded_by(cli_run(argv))
+    assert loaded == PARSING | {"ubisim.learning", "ubisim.morphisms"}
+    assert not {"ubisim.simulation", "ubisim.lifting", "ubisim.bisim"} & loaded
