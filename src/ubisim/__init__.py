@@ -19,13 +19,13 @@ import sys
 # each public name, by its home module
 _EXPORTS = {
     "bisim": ("ApartnessWitness", "apartness_witness", "bisimilarity", "ioco_compatibility",
-              "relation_is_ioco_compatibility", "relation_is_uncertain_bisimulation",
-              "semantic_oracle_uncertain", "uncertain_bisimilarity"),
+              "relation_is_ioco_compatibility", "uncertain_bisimilarity"),
     "errors": ("ContractError", "EnumerationLimitError", "ObservationConflictError",
                "ParseError", "UbisimError", "ValidationError"),
     "learning": ("ObservationTree", "Teacher", "TreeConflict", "find_lax_morphism_from_tree",
                  "query_and_record", "tree_apartness_frontier"),
     "lifting": ("in_lifting", "in_uncertain_lifting", "in_uncertain_lifting_enumerated",
+                "relation_is_uncertain_bisimulation", "semantic_oracle_uncertain",
                 "stability_check"),
     "machines": ("MealySuccessors", "PartialMealyMachine", "PowSuccessors", "PowersetSystem",
                  "SaSuccessors", "SuspensionAutomaton", "disjoint_union", "eval_semantics",

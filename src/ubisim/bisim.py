@@ -10,8 +10,8 @@ pair).  Every (pair, label) is reached once, so each relation takes
 O(n^2 * |labels|) steps for n states (Liu and Smolka, "Simple linear-time
 algorithms for minimal fixed points", ICALP 1998).
 Uncertain bisimilarity is not transitive, so partition refinement would
-be unsound; the pairwise propagation is the algorithm of record.  The
-round-based fixpoint `_shrink_rounds` stays as the tests' reference.
+be unsound; the pairwise propagation is the algorithm of record.  Its
+references, by the definition, are in `lifting`.
 
 The dead pairs are kept as rows, one Python int per state x whose bit y
 stands for the pair (x, y), and they propagate a row at a time: the bits
@@ -22,28 +22,20 @@ pair-at-a-time propagation paid a Python loop iteration per pair.  The
 engines read each machine's dense successor arrays from its `tables()`,
 which the machine filled while it validated its transitions.  Rows
 are what a `Relation` stores, so the engines hand theirs over as they are.
-
-`semantic_oracle_uncertain` is a deliberately separate decision path used
-to cross-check the fixpoint engine: it compares word semantics directly by
-exhaustive word enumeration.  Past its word budget it falls back to the
-product breadth-first search of `apartness_witness`.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .machines import PartialMealyMachine, SuspensionAutomaton, eval_semantics
+from .machines import PartialMealyMachine, SuspensionAutomaton
 from .relations import Relation, _bits
-
-DEFAULT_ORACLE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -59,22 +51,6 @@ class ApartnessWitness:
             raise ValidationError("an apartness witness needs a non-empty word")
         if self.left_output == self.right_output:
             raise ValidationError("an apartness witness needs differing outputs")
-
-
-def _shrink_rounds(
-    states: tuple[str, ...], violates: Callable[[str, str, frozenset], bool]
-) -> Iterator[frozenset]:
-    """Yield the pair set of every round, starting from the full product,
-    until a round removes nothing.  Costs O(rounds * n^2 * |labels|); the
-    tests check the propagation engine below against it."""
-    current = frozenset((x, y) for x in states for y in states)
-    yield current
-    while True:
-        removed = {p for p in current if violates(p[0], p[1], current)}
-        if not removed:
-            return
-        current = current - removed
-        yield current
 
 
 def _predecessors(n: int, succ: list[int]) -> tuple[list[list[int]], list[int], int]:
@@ -274,58 +250,6 @@ def apartness_witness(m: PartialMealyMachine, x: str, y: str) -> Optional[Apartn
                 seen.add(nxt)
                 queue.append((du[1], dv[1], word + (i,)))
     return None
-
-
-def semantic_oracle_uncertain(
-    m: PartialMealyMachine, x: str, y: str, budget: int = DEFAULT_ORACLE_BUDGET
-) -> bool:
-    """Decide compatibility of x and y at the level of word semantics.
-
-    Enumerates every word up to length |states|^2 and requires agreement
-    whenever both semantics are defined.  When the word count exceeds the
-    budget, falls back to the product search of `apartness_witness` and
-    logs that it did so.
-    """
-    m.check_state(x)
-    m.check_state(y)
-    max_len = len(m.states) ** 2
-    n = len(m.inputs)
-    total, power = 0, 1
-    for _ in range(max_len):
-        power *= n
-        total += power
-        if total > budget:
-            break
-    if total <= budget:
-        for length in range(1, max_len + 1):
-            for word in itertools.product(m.inputs, repeat=length):
-                ox = eval_semantics(m, x, word)
-                oy = eval_semantics(m, y, word)
-                if ox is not None and oy is not None and ox != oy:
-                    return False
-        return True
-
-    import logging  # for this line only, so that no decision procedure loads it
-
-    logging.getLogger(__name__).info(
-        "oracle word budget exceeded (%d > %d); using product-graph reachability",
-        total, budget,
-    )
-    return apartness_witness(m, x, y) is None
-
-
-def relation_is_uncertain_bisimulation(m: PartialMealyMachine, rel: Relation) -> bool:
-    """Check an arbitrary relation (not necessarily the greatest one): every
-    related pair's one-step behaviours must be related by the uncertain
-    lifting of the relation itself."""
-    from .lifting import _uncertain_linked  # the only caller; no subcommand loads lifting
-
-    if set(rel.left) - set(m.states) or set(rel.right) - set(m.states):
-        raise ValidationError("relation carrier leaves the machine's state set")
-    square = Relation.square(m.states, rel.ordered_pairs())
-    dom, cod = square.domain(), square.codomain()
-    succ = {s: m.successors(s) for s in m.states}
-    return all(_uncertain_linked(square, dom, cod, succ[x], succ[y]) for x, y in square.ordered_pairs())
 
 
 def relation_is_ioco_compatibility(a: SuspensionAutomaton, rel: Relation) -> bool:

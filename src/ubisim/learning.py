@@ -20,12 +20,14 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import ContractError, ObservationConflictError, ValidationError
 from .machines import PartialMealyMachine, distinct_names
-from .morphisms import StateMap
 from .relations import Relation, _bits
+
+if TYPE_CHECKING:
+    from .morphisms import StateMap
 
 ROOT_ID = "ε"  # printable id for the empty access word
 
@@ -305,6 +307,7 @@ def find_lax_morphism_from_tree(
     The images are propagated over the tree's breadth-first ranks; access
     words are built only for a conflict.
     """
+    from .morphisms import StateMap  # only here: `learn-demo` needs no morphisms
     hypothesis.check_state(root_target)
     if set(tree.inputs) != set(hypothesis.inputs) or set(tree.outputs) != set(
         hypothesis.outputs

@@ -6,24 +6,29 @@ relation-linked states.  `in_uncertain_lifting` additionally allows both
 sides to first grow along the successor-structure order, so structures are
 related as soon as their known parts do not conflict.
 
-The uncertain membership test has two independent implementations: a
-direct characterization (used everywhere) and a brute-force search over
-completions (desk-scale only, used as an oracle in tests).
+The uncertain lifting defines uncertain bisimilarity.  This module holds
+the definition, decided directly (used everywhere), and its references,
+which the tests check `bisim` against: membership by brute-force search
+over completions (desk-scale only), the round fixpoint `_shrink_rounds`,
+and the word oracle, which past its budget answers by that fixpoint.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ContractError, EnumerationLimitError, ValidationError
 from .machines import (
     MealySuccessors,
+    PartialMealyMachine,
     PowSuccessors,
     Ref,
     SaSuccessors,
     Successors,
     check_same_shape,
+    eval_semantics,
     map_structure,
     order_failures,
 )
@@ -106,6 +111,89 @@ def _uncertain_linked(rel: Relation, dom: frozenset, cod: frozenset, t: Successo
         te is not None and se is not None and (te, se) in rel
         for te, se in zip(t.out_entries, s.out_entries)
     )
+
+
+# ---------------------------------------------------------------------------
+# uncertain bisimulations by the definition: relation check, rounds, words
+
+DEFAULT_ORACLE_BUDGET = 20_000
+
+
+def _refuses(m: PartialMealyMachine) -> Callable[[str, str, frozenset], bool]:
+    """`violates` for `_shrink_rounds`: whether the uncertain lifting of a
+    pair set refuses the steps of (x, y).  Builds a set's relation, domain
+    and codomain once, not once per pair."""
+    succ = {s: m.successors(s) for s in m.states}
+
+    @functools.lru_cache(maxsize=1)
+    def lifted(pairs: frozenset) -> tuple[Relation, frozenset, frozenset]:
+        rel = Relation.square(m.states, pairs)
+        return rel, rel.domain(), rel.codomain()
+
+    return lambda x, y, pairs: not _uncertain_linked(*lifted(pairs), succ[x], succ[y])
+
+
+def relation_is_uncertain_bisimulation(m: PartialMealyMachine, rel: Relation) -> bool:
+    """Check an arbitrary relation (not necessarily the greatest one): every
+    related pair's one-step behaviours must be related by the uncertain
+    lifting of the relation itself."""
+    if set(rel.left) - set(m.states) or set(rel.right) - set(m.states):
+        raise ValidationError("relation carrier leaves the machine's state set")
+    pairs, refuses = rel.pairs, _refuses(m)
+    return not any(refuses(x, y, pairs) for x, y in pairs)
+
+
+def _shrink_rounds(
+    states: tuple[str, ...], violates: Callable[[str, str, frozenset], bool]
+) -> Iterator[frozenset]:
+    """Yield the pair set of every round, starting from the full product,
+    until a round removes nothing.  Costs O(rounds * n^2 * |labels|); the
+    tests check the propagation engine of `bisim` against it."""
+    current = frozenset((x, y) for x in states for y in states)
+    yield current
+    while True:
+        removed = {p for p in current if violates(p[0], p[1], current)}
+        if not removed:
+            return
+        current = current - removed
+        yield current
+
+
+def semantic_oracle_uncertain(
+    m: PartialMealyMachine, x: str, y: str, budget: int = DEFAULT_ORACLE_BUDGET
+) -> bool:
+    """Decide compatibility of x and y at the level of word semantics.
+
+    Enumerates every word up to length |states|^2 and requires agreement
+    whenever both semantics are defined.  When the word count exceeds the
+    budget, answers by the greatest fixpoint of the uncertain lifting
+    instead, computed by rounds that drop the pairs the lifting refuses,
+    and logs that it did so.
+    """
+    m.check_state(x)
+    m.check_state(y)
+    max_len = len(m.states) ** 2
+    n = len(m.inputs)
+    total, power = 0, 1
+    for _ in range(max_len):
+        power *= n
+        total += power
+        if total > budget:
+            break
+    if total <= budget:
+        for length in range(1, max_len + 1):
+            for word in itertools.product(m.inputs, repeat=length):
+                ox = eval_semantics(m, x, word)
+                if ox is not None and eval_semantics(m, y, word) not in (None, ox):
+                    return False
+        return True
+
+    import logging  # for this line only, so that importing the module loads no logging
+
+    logging.getLogger(__name__).info("oracle word budget exceeded (%d > %d); using the uncertain "
+                                     "lifting's greatest fixpoint", total, budget)
+    *_, final = _shrink_rounds(m.states, _refuses(m))
+    return (x, y) in final
 
 
 # ---------------------------------------------------------------------------

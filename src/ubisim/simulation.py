@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .bisim import apartness_witness, ioco_compatibility
 from .errors import ContractError, ValidationError
 from .machines import (
     MealySuccessors,
@@ -284,6 +283,7 @@ def joint_simulator(m: Machine, x: str, y: str):
     breadth-first order gets primes appended until its name is new
     ("(a|b|c)'"); the start pair keeps its plain name.
     """
+    from .bisim import apartness_witness, ioco_compatibility  # only here: `simulate` needs no bisim
     m.check_state(x)
     m.check_state(y)
     if isinstance(m, PartialMealyMachine):

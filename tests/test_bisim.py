@@ -1,5 +1,6 @@
 import random
 
+import ubisim.bisim
 from helpers import (
     conflict_machine,
     fixture_doc,
@@ -28,7 +29,7 @@ from ubisim import (
     semantic_oracle_uncertain,
     uncertain_bisimilarity,
 )
-from ubisim.bisim import _shrink_rounds
+from ubisim.lifting import _shrink_rounds
 
 # ---------------------------------------------------------------------------
 # the defining clauses, restated for the round-based fixpoint: each says
@@ -193,9 +194,9 @@ def test_oracle_both_paths_agree():
 
 def test_oracle_fallback_logs(caplog):
     m = conflict_machine()
-    with caplog.at_level("INFO", logger="ubisim.bisim"):
+    with caplog.at_level("INFO", logger="ubisim.lifting"):
         semantic_oracle_uncertain(m, "p", "q", budget=0)
-    assert any("reachability" in rec.message for rec in caplog.records)
+    assert any("lifting's greatest fixpoint" in rec.message for rec in caplog.records)
 
 
 def test_oracle_matches_fixpoint_on_corpus():
@@ -204,6 +205,24 @@ def test_oracle_matches_fixpoint_on_corpus():
         for x in m.states:
             for y in m.states:
                 assert semantic_oracle_uncertain(m, x, y) == ((x, y) in rel)
+
+
+def test_oracle_is_independent_of_the_engine(monkeypatch, caplog):
+    # with the engine's propagation and the product search broken, the
+    # oracle still gives the engine's answer, by words or by the lifting
+    corpus = [(m, uncertain_bisimilarity(m)) for m in mealy_corpus(500)]
+
+    def broken(*args):
+        raise AssertionError("the oracle ran the code it checks")
+
+    monkeypatch.setattr(ubisim.bisim, "apartness_witness", broken)
+    monkeypatch.setattr(ubisim.bisim, "_dead_pairs", broken)
+    with caplog.at_level("INFO", logger="ubisim.lifting"):
+        for m, rel in corpus:
+            for x in m.states:
+                for y in m.states:
+                    assert semantic_oracle_uncertain(m, x, y) == ((x, y) in rel), (m, x, y)
+    assert caplog.records  # some pairs were past the word budget
 
 
 # ---------------------------------------------------------------------------

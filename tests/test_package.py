@@ -23,8 +23,6 @@ PUBLIC = {
     "bisimilarity": "bisim",
     "ioco_compatibility": "bisim",
     "relation_is_ioco_compatibility": "bisim",
-    "relation_is_uncertain_bisimulation": "bisim",
-    "semantic_oracle_uncertain": "bisim",
     "uncertain_bisimilarity": "bisim",
     "ContractError": "errors",
     "EnumerationLimitError": "errors",
@@ -41,6 +39,8 @@ PUBLIC = {
     "in_lifting": "lifting",
     "in_uncertain_lifting": "lifting",
     "in_uncertain_lifting_enumerated": "lifting",
+    "relation_is_uncertain_bisimulation": "lifting",
+    "semantic_oracle_uncertain": "lifting",
     "stability_check": "lifting",
     "MealySuccessors": "machines",
     "PartialMealyMachine": "machines",
@@ -160,6 +160,30 @@ def test_check_loads_only_the_parser_and_bisim():
     assert loaded == PARSING | {"ubisim.bisim"}
     assert not {"ubisim.learning", "ubisim.simulation", "ubisim.lifting", "ubisim.morphisms",
                 "logging"} & loaded
+
+
+def test_simulate_loads_only_the_parser_and_simulation():
+    argv = ["simulate", fixture_path("quadruple.txt"), "sim_q_p", "--style", "hj"]
+    loaded = loaded_by(cli_run(argv))
+    assert loaded == PARSING | {"ubisim.simulation"}
+    assert "ubisim.bisim" not in loaded
+
+
+def test_learn_demo_without_maps_loads_only_the_parser_and_learning():
+    # conflict_tree.txt has no map section, so parsing it needs no StateMap
+    argv = ["learn-demo", "--hidden", f"{fixture_path('conflict_tree.txt')}:m",
+            "--queries", "w i, v w, v v w i"]
+    loaded = loaded_by(cli_run(argv))
+    assert loaded == PARSING | {"ubisim.learning"}
+    assert "ubisim.morphisms" not in loaded
+
+
+def test_lifting_loads_no_engine():
+    # the references share no code with the decision procedures they check
+    loaded = loaded_by("import ubisim.lifting")
+    assert loaded == {"ubisim", "ubisim.lifting", "ubisim.errors", "ubisim.machines",
+                      "ubisim.relations"}
+    assert "ubisim.bisim" not in loaded
 
 
 def test_learn_demo_loads_no_decision_procedure():
