@@ -17,14 +17,12 @@ list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import compress
-from operator import or_
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import ContractError, ObservationConflictError, ValidationError
-from .machines import PartialMealyMachine, distinct_names
-from .relations import Relation, _bits
+from .machines import PartialMealyMachine, _unique, distinct_names
+from .relations import Relation
 
 if TYPE_CHECKING:
     from .morphisms import StateMap
@@ -57,10 +55,11 @@ class ObservationTree:
 
     def __init__(self, inputs: Sequence[str], outputs: Sequence[str]):
         """The tree with only its root: nothing observed yet."""
-        inputs = tuple(inputs)
+        inputs, outputs = tuple(inputs), tuple(outputs)
         # frozen: set the fields past __setattr__
         vars(self).update(
-            inputs=inputs, outputs=tuple(outputs), _ipos={i: k for k, i in enumerate(inputs)},
+            inputs=inputs, outputs=outputs,
+            _ipos=_unique(inputs, "input symbol"), _opos=_unique(outputs, "output symbol"),
             _into=[(-1, -1, None)], _children=[(-1,) * len(inputs)],
         )
 
@@ -83,7 +82,7 @@ class ObservationTree:
             if i not in self._ipos:
                 raise ValidationError(f"unknown input symbol {i!r}")
         for o in outs:
-            if o not in self.outputs:
+            if o not in self._opos:
                 raise ValidationError(f"unknown output symbol {o!r}")
         labels = [self._ipos[i] for i in word]
         node = 0
@@ -112,35 +111,34 @@ class ObservationTree:
             node = new
         tree = object.__new__(ObservationTree)
         vars(tree).update(
-            inputs=self.inputs, outputs=self.outputs, _ipos=self._ipos, _into=into, _children=children
+            inputs=self.inputs, outputs=self.outputs, _ipos=self._ipos, _opos=self._opos,
+            _into=into, _children=children,
         )
         return tree
 
     @cached_property
-    def _order(self) -> list[int]:
-        """Node positions in `words()` order: breadth-first from the root,
-        children in input declaration order."""
-        order, children = [0], self._children
-        for p in order:  # breadth-first: the list grows while it is read
-            order.extend([c for c in children[p] if c >= 0])
-        return order
-
-    @cached_property
     def _ranked(self) -> list[tuple[int, int, str]]:
-        """The edge into each non-root node, in `_order`: the parent's rank
-        (its index in `_order`), the position in `inputs` of the input, and
-        the output.  Entry r - 1 is the edge into the node of rank r."""
-        rank = [0] * len(self._into)
-        for r, p in enumerate(self._order):
-            rank[p] = r
-        return [(rank[q], k, o) for q, k, o in map(self._into.__getitem__, self._order[1:])]
+        """The edge into each non-root node in `words()` order, as the
+        parent's rank, the input's position in `inputs` and the output:
+        entry r - 1 is the edge into the node of rank r (the root's is 0)."""
+        order, ranked, into, children = [0], [], self._into, self._children
+        for q, p in enumerate(order):  # breadth-first: the lists grow while read
+            for k, c in enumerate(children[p]):
+                if c >= 0:
+                    order.append(c)
+                    ranked.append((q, k, into[c][2]))
+        return ranked
 
     @cached_property
     def _names(self) -> list[str]:
         """Node names by rank: each node's access word joined by `node_id`,
-        with primes appended by `distinct_names` where two words join to
-        the same id (inputs "i.j" and "i" "j", or an input "ε")."""
-        return distinct_names(map(node_id, self.words()))
+        built from its parent's, with primes appended by `distinct_names`
+        where two words join to the same id (inputs "i.j" and "i" "j", or
+        an input "ε")."""
+        names, inputs = [ROOT_ID], self.inputs
+        for q, k, _ in self._ranked:
+            names.append(f"{names[q]}.{inputs[k]}" if q else inputs[k])
+        return distinct_names(names)
 
     def words(self) -> list[tuple[str, ...]]:
         """All access words, shortest first, then by input declaration order."""
@@ -263,8 +261,8 @@ def tree_apartness_frontier(tree: ObservationTree) -> Relation:
     where differ_i[o] is the row of the nodes whose i-edge outputs
     something other than o, and lift_i maps each set bit of an i-child to
     its parent, through a table of parent bits.  The cost is O(n·|I|)
-    operations on n-bit rows plus one bit scan per child row, which ORs
-    one parent bit per set bit.
+    operations on n-bit rows plus one step per set bit of each child row,
+    which ORs in that bit's parent bit; the lift never scans a whole row.
     """
     ranked = tree._ranked
     moves = [0] * len(tree.inputs)  # nodes with an i-edge
@@ -281,8 +279,10 @@ def tree_apartness_frontier(tree: ObservationTree) -> Relation:
     for r in range(len(ranked), 0, -1):  # children come after their parents
         q, i, o = ranked[r - 1]
         row, below = moves[i] ^ says[i][o], apart[r] & kids[i]
-        if below:
-            row |= reduce(or_, compress(up, _bits(below)))
+        while below:  # highest set bit first
+            b = below.bit_length() - 1
+            row |= up[b]
+            below ^= 1 << b
         apart[q] |= row
     return Relation.from_rows(tree._names, tree._names, apart)
 

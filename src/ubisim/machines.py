@@ -73,6 +73,8 @@ def distinct_names(names: Iterable[str]) -> list[str]:
     every given name and every name already chosen."""
     names = list(names)
     taken, chosen, out = set(names), set(), []
+    if len(taken) == len(names):
+        return names
     for n in names:
         if n in chosen:
             while n in taken:

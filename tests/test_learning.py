@@ -30,7 +30,7 @@ from ubisim import (
 )
 from ubisim.bisim import _mealy_dead
 from ubisim.learning import node_id
-from ubisim.machines import PartialMealyMachine
+from ubisim.machines import PartialMealyMachine, distinct_names
 from ubisim.morphisms import Conflict
 
 
@@ -147,6 +147,22 @@ def test_record_length_mismatch():
         tree.record(("i",), ("a", "a"))
 
 
+def test_repeated_input_symbol_is_refused():
+    with pytest.raises(ValidationError, match="duplicate input symbol: 'a'"):
+        ObservationTree.empty(("a", "a"), ("x", "y"))
+
+
+def test_repeated_output_symbol_is_refused():
+    with pytest.raises(ValidationError, match="duplicate output symbol: 'x'"):
+        ObservationTree.empty(("a", "b"), ("x", "y", "x"))
+
+
+def test_unknown_output_symbol_is_refused():
+    tree = ObservationTree.empty(("a",), ("x", "y"))
+    with pytest.raises(ValidationError, match="unknown output symbol 'z'"):
+        tree.record(("a",), ("z",))
+
+
 def test_input_named_like_the_root_gets_a_primed_node():
     # the access word ("ε",) joins to the root's id; the root keeps it
     tree = ObservationTree.empty(("ε", "a"), ("x",)).record(("ε",), ("x",))
@@ -251,11 +267,58 @@ def _observed(hidden, word):
     return tuple(word[: len(outs)]), tuple(outs)
 
 
+def _breadth_first(tree):
+    """Node positions breadth-first from the root, children in input
+    declaration order, walked here without the tree's own ranking."""
+    order = [0]
+    for p in order:
+        order.extend(c for c in tree._children[p] if c >= 0)
+    return order
+
+
 def _position_pairs(tree, frontier):
     """The frontier as pairs of node positions, packed into ints: a node
     keeps its position while recording may prime its name."""
-    pos = dict(zip(frontier.left, tree._order))
+    pos = dict(zip(frontier.left, _breadth_first(tree)))
     return {pos[x] << 20 | pos[y] for x, y in frontier.ordered_pairs()}
+
+
+def _growing_trees(rng, inputs, size, density, target):
+    """Random queries, each extending a word already in the tree, on a
+    random (partial) hidden machine of `size` states over `inputs`,
+    recorded until the tree has `target` nodes: the tree after each
+    record."""
+    states = tuple(f"s{k}" for k in range(size))
+    delta = {
+        (s, i): (rng.choice(("x", "y", "z")), rng.choice(states))
+        for s in states
+        for i in inputs
+        if rng.random() < density
+    }
+    hidden = PartialMealyMachine("h", inputs, ("x", "y", "z"), states, delta)
+    tree = ObservationTree.empty(inputs, hidden.outputs)
+    words = [()]
+    for _ in range(4 * target):
+        if len(words) >= target:
+            break
+        base = rng.choice(words)
+        tree = tree.record(*_observed(hidden, base + tuple(rng.choice(inputs) for _ in range(rng.randint(1, 6)))))
+        yield tree
+        words = tree.words()
+
+
+@pytest.mark.parametrize("inputs", ALPHABETS)
+def test_ranks_and_names_match_their_definitions(inputs):
+    # the ranked edges are the edges in a breadth-first walk, and each
+    # node's name is its access word's `node_id`, made distinct
+    trees = [ObservationTree.empty(inputs, ("x",)), *_growing_trees(random.Random(1), inputs, 5, 0.8, 80)]
+    assert len(trees[-1]._into) >= 80
+    for tree in trees:
+        order = _breadth_first(tree)
+        rank = {p: r for r, p in enumerate(order)}
+        expected = [(rank[q], k, o) for q, k, o in (tree._into[p] for p in order[1:])]
+        assert tree._ranked == expected
+        assert tree._names == distinct_names(map(node_id, tree.words()))
 
 
 @settings(max_examples=20, deadline=None)
@@ -270,30 +333,31 @@ def test_frontier_matches_row_engine(seed, inputs, size, density, target):
     # the one-pass frontier against the general fixpoint engine, after
     # every record of random queries on random (partial) hidden machines
     rng = random.Random(seed)
-    states = tuple(f"s{k}" for k in range(size))
-    delta = {
-        (s, i): (rng.choice(("x", "y", "z")), rng.choice(states))
-        for s in states
-        for i in inputs
-        if rng.random() < density
-    }
-    hidden = PartialMealyMachine("h", inputs, ("x", "y", "z"), states, delta)
-    tree = ObservationTree.empty(inputs, hidden.outputs)
-    words, previous = [()], set()
-    for _ in range(4 * target):
-        if len(words) >= target:
-            break
-        base = rng.choice(words)
-        word, outs = _observed(hidden, base + tuple(rng.choice(inputs) for _ in range(rng.randint(1, 6))))
-        tree = tree.record(word, outs)
+    previous = set()
+    for tree in _growing_trees(rng, inputs, size, density, target):
         frontier = tree_apartness_frontier(tree)
         machine = tree.as_machine()
         assert frontier.rows == tuple(_mealy_dead(machine))
         assert frontier.left == frontier.right == machine.states
-        words = tree.words()
         current = _position_pairs(tree, frontier)
         assert previous <= current
         previous = current
+
+
+def test_frontier_on_a_large_tree():
+    # wide rows with many set bits: a total 60-state hidden machine with 4
+    # inputs, seeded random queries of 8-10 symbols
+    rng = random.Random(2022)
+    inputs, states = ("a", "b", "c", "d"), tuple(f"s{k}" for k in range(60))
+    delta = {(s, i): (rng.choice(("x", "y")), rng.choice(states)) for s in states for i in inputs}
+    hidden = PartialMealyMachine("h", inputs, ("x", "y"), states, delta, total=True)
+    teacher = Teacher(hidden, "s0")
+    tree = ObservationTree.empty(inputs, hidden.outputs)
+    for _ in range(280):
+        word = [rng.choice(hidden.inputs) for _ in range(rng.randint(8, 10))]
+        tree = query_and_record(tree, teacher, word)
+    assert len(tree._into) >= 1500
+    assert tree_apartness_frontier(tree).rows == tuple(_mealy_dead(tree.as_machine()))
 
 
 # ---------------------------------------------------------------------------
