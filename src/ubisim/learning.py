@@ -227,15 +227,15 @@ class Teacher:
         word = tuple(word)
         if not word:
             raise ContractError("output queries need a non-empty word")
-        current = self._initial
-        outs = []
+        (succ, out), at = self._hidden.tables(), self._hidden.input_index
+        x, outs = self._hidden.index[self._initial], []
         for i in word:
-            step = self._hidden.transition(current, i)
-            if step is None:
-                raise ContractError(
-                    f"hidden machine has no transition for {i!r} after {outs!r}"
-                )
-            o, current = step
+            k = at.get(i)
+            if k is None:
+                raise ValidationError(f"unknown input symbol {i!r}")
+            o, x = out[k][x], succ[k][x]
+            if x < 0:
+                raise ContractError(f"hidden machine has no transition for {i!r} after {outs!r}")
             outs.append(o)
         self._count += 1
         self._symbols += len(word)
@@ -256,29 +256,32 @@ def tree_apartness_frontier(tree: ObservationTree) -> Relation:
     so the least fixpoint is one pass over the nodes in reverse
     breadth-first order:
 
-        apart[x] = OR_i (differ_i[out(x·i)] | lift_i(apart[x·i]))
+        apart[x] = OR_i (differ_i[o] | lift_i(apart[x·i] & ends_i[o]))
 
-    where differ_i[o] is the row of the nodes whose i-edge outputs
-    something other than o, and lift_i maps each set bit of an i-child to
-    its parent, through a table of parent bits.  The cost is O(n·|I|)
-    operations on n-bit rows plus one step per set bit of each child row,
-    which ORs in that bit's parent bit; the lift never scans a whole row.
+    where o = out(x·i), differ_i[o] is the row of the nodes whose i-edge
+    outputs something other than o, ends_i[o] the row of the nodes at the
+    end of an i-edge that outputs o, and lift_i maps each set bit to its
+    parent, through a table of parent bits.  Only agreeing children are
+    lifted: the parent of an i-child whose edge outputs another symbol is
+    in differ_i[o] already.  The cost is O(n·|I|) operations on n-bit rows
+    plus one step per set bit among the agreeing children; the lift never
+    scans a whole row.
     """
     ranked = tree._ranked
     moves = [0] * len(tree.inputs)  # nodes with an i-edge
-    kids = [0] * len(tree.inputs)  # nodes at the end of an i-edge
     says: list[dict] = [{} for _ in tree.inputs]  # output -> nodes whose i-edge outputs it
+    ends: list[dict] = [{} for _ in tree.inputs]  # output -> nodes at the end of an i-edge with it
     up = [0]  # the parent's bit, by rank
     for r, (q, i, o) in enumerate(ranked, 1):
         bit = 1 << q
         up.append(bit)
         moves[i] |= bit
-        kids[i] |= 1 << r
         says[i][o] = says[i].get(o, 0) | bit
+        ends[i][o] = ends[i].get(o, 0) | 1 << r
     apart = [0] * (len(ranked) + 1)
     for r in range(len(ranked), 0, -1):  # children come after their parents
         q, i, o = ranked[r - 1]
-        row, below = moves[i] ^ says[i][o], apart[r] & kids[i]
+        row, below = moves[i] ^ says[i][o], apart[r] & ends[i][o]
         while below:  # highest set bit first
             b = below.bit_length() - 1
             row |= up[b]
@@ -304,19 +307,21 @@ def find_lax_morphism_from_tree(
     Because the source is a tree, the images propagate deterministically
     along edges; each tree edge must be matched at the image with the same
     output.  On failure, the shortest unmatched access word is returned.
-    The images are propagated over the tree's breadth-first ranks; access
-    words are built only for a conflict.
+    The images are propagated as positions over the tree's breadth-first
+    ranks, through the hypothesis's tables; states are named only in the
+    final map, and access words are built only for a conflict.
     """
     from .morphisms import StateMap  # only here: `learn-demo` needs no morphisms
     hypothesis.check_state(root_target)
-    if set(tree.inputs) != set(hypothesis.inputs) or set(tree.outputs) != set(
-        hypothesis.outputs
-    ):
+    if set(tree.inputs) != set(hypothesis.inputs) or set(tree.outputs) != set(hypothesis.outputs):
         raise ContractError("tree and hypothesis must share alphabets")
-    images = [root_target]
+    succ, out = hypothesis.tables()
+    at = [hypothesis.input_index[i] for i in tree.inputs]  # the hypothesis's position of each tree input
+    images = [hypothesis.index[root_target]]
     for r, (q, k, o) in enumerate(tree._ranked, 1):  # parents first, shortest words first
-        step = hypothesis.delta.get((images[q], tree.inputs[k]))
-        if step is None or step[0] != o:
+        x, k = images[q], at[k]
+        if out[k][x] != o:  # None where the hypothesis has no transition
             return TreeConflict(tree.words()[r])
-        images.append(step[1])
-    return StateMap(tree.as_machine(), hypothesis, dict(zip(tree._names, images)))
+        images.append(succ[k][x])
+    states = hypothesis.states
+    return StateMap(tree.as_machine(), hypothesis, {n: states[x] for n, x in zip(tree._names, images)})

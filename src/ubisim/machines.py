@@ -23,10 +23,11 @@ link between them), `map_structure` renames successors, and `assemble`
 builds a machine of a given kind from one structure per state.
 
 Each machine numbers its states once, when it is built: `index` maps each
-state to its position in `states`, and state checks look it up.  The pass
-that validates the transitions also fills the dense arrays over those
+state to its position in `states`, and state checks look it up (a Mealy
+machine's `input_index` does the same for `inputs`).  The pass that
+validates the transitions also fills the dense arrays over those
 positions that `tables()` returns, the same read-only lists on every call.
-`index` and the tables are not dataclass fields: they take no part in
+The indexes and the tables are not dataclass fields: they take no part in
 `repr` or `==`, and `replace` builds them anew.
 """
 
@@ -297,8 +298,8 @@ class PartialMealyMachine:
 
     `delta` maps (state, input) to (output, successor); absent keys are the
     unknown transitions.  A machine constructed with total=True must have
-    delta defined on all of states x inputs.  `index` maps each state to
-    its position in `states`.
+    delta defined on all of states x inputs.  `index` and `input_index`
+    map each state and each input to its position in `states` or `inputs`.
     """
 
     name: str
@@ -336,6 +337,7 @@ class PartialMealyMachine:
                     i = self.inputs[row.index(-1)]
                     raise ValidationError(f"machine declared total but {s!r} has no transition on {i!r}")
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "input_index", inputs)
         object.__setattr__(self, "_tables", (succ, out))
 
     def check_state(self, state: str) -> None:
@@ -442,19 +444,28 @@ class PowersetSystem:
 # word semantics
 
 
+def _walk(machine: PartialMealyMachine, state: str, word: Sequence[str]) -> Optional[tuple]:
+    """The position `word` reaches from `state` and its last output (None
+    for the empty word), or None at a missing transition; an unknown input
+    raises when the walk reaches it."""
+    machine.check_state(state)
+    (succ, out), at = machine.tables(), machine.input_index
+    x, o = machine.index[state], None
+    for i in word:
+        k = at.get(i)
+        if k is None:
+            raise ValidationError(f"unknown input symbol {i!r}")
+        x, o = succ[k][x], out[k][x]
+        if x < 0:
+            return None
+    return x, o
+
+
 def run(machine: PartialMealyMachine, state: str, word: Sequence[str]) -> Optional[str]:
     """Follow `word` from `state`; the reached state, or None as soon as a
     transition is missing.  The empty word returns `state` itself."""
-    machine.check_state(state)
-    current = state
-    for i in word:
-        if i not in machine.inputs:
-            raise ValidationError(f"unknown input symbol {i!r}")
-        step = machine.delta.get((current, i))
-        if step is None:
-            return None
-        current = step[1]
-    return current
+    end = _walk(machine, state, word)
+    return None if end is None else machine.states[end[0]]
 
 
 def eval_semantics(machine: PartialMealyMachine, state: str, word: Sequence[str]) -> Optional[str]:
@@ -467,9 +478,8 @@ def eval_semantics(machine: PartialMealyMachine, state: str, word: Sequence[str]
     word = tuple(word)
     if not word:
         raise ContractError("eval_semantics requires a non-empty word")
-    last = run(machine, state, word[:-1])
-    step = None if last is None else machine.transition(last, word[-1])
-    return None if step is None else step[0]
+    end = _walk(machine, state, word)
+    return None if end is None else end[1]
 
 
 # ---------------------------------------------------------------------------

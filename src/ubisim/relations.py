@@ -45,7 +45,8 @@ class Relation:
 
     def __init__(self, left: Sequence[Ref], right: Sequence[Ref], pairs: Iterable[tuple[Ref, Ref]]):
         left, right = tuple(left), tuple(right)
-        lpos, rpos = ({x: k for k, x in enumerate(c)} for c in (left, right))
+        lpos = dict(zip(left, range(len(left))))
+        rpos = lpos if right == left else dict(zip(right, range(len(right))))
         if len(lpos) < len(left) or len(rpos) < len(right):
             raise ValidationError("a carrier lists an element twice")
         rows = [0] * len(left)
@@ -62,7 +63,7 @@ class Relation:
         """The relation of the pairs (left[x], right[y]) for each bit y of
         rows[x]; checks that there is a row per left element, within right."""
         rel, rows = cls(left, right, ()), tuple(rows)
-        if len(rows) != len(rel.left) or any(row < 0 or row >> len(rel.right) for row in rows):
+        if len(rows) != len(rel.left) or rows and (min(rows) < 0 or max(rows) >> len(rel.right)):
             raise ValidationError("rows must be one per left element, within the right carrier")
         vars(rel)["rows"] = rows
         return rel

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -61,17 +62,26 @@ def test_output_query_single_step():
 
 
 def test_output_query_validation():
+    # B: r0 -i/o-> r1, r0 -j/o-> r0, and nothing out of r1
     *_, B, _, _, _ = lax_chain()
     teacher = Teacher(B, "r0")
-    with pytest.raises(ValidationError):
-        teacher.output_query(("k",))
-    with pytest.raises(ContractError):
+    for word in (("k",), ("j", "k"), ("k", "i", "i")):
+        with pytest.raises(ValidationError, match="^unknown input symbol 'k'$"):
+            teacher.output_query(word)
+    with pytest.raises(ContractError, match="^output queries need a non-empty word$"):
         teacher.output_query(())
-    # a partial hidden machine refuses to answer past its knowledge
-    with pytest.raises(ContractError):
-        teacher.output_query(("i", "i"))
-    assert teacher.queries == 0
-    assert teacher.symbols == 0
+    assert (teacher.queries, teacher.symbols) == (0, 0)
+    assert teacher.output_query(("j", "i")) == ("o", "o")
+    # a partial hidden machine refuses to answer past its knowledge; a
+    # missing transition is reported before an unknown input after it
+    for word, message in [
+        (("i", "i"), "hidden machine has no transition for 'i' after ['o']"),
+        (("i", "j", "k"), "hidden machine has no transition for 'j' after ['o']"),
+        (("j", "i", "i", "k"), "hidden machine has no transition for 'i' after ['o', 'o']"),
+    ]:
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            teacher.output_query(word)
+    assert (teacher.queries, teacher.symbols) == (1, 2)
 
 
 def test_teacher_counts_queries():
@@ -283,19 +293,19 @@ def _position_pairs(tree, frontier):
     return {pos[x] << 20 | pos[y] for x, y in frontier.ordered_pairs()}
 
 
-def _growing_trees(rng, inputs, size, density, target):
+def _growing_trees(rng, inputs, size, density, target, outputs=("x", "y", "z")):
     """Random queries, each extending a word already in the tree, on a
-    random (partial) hidden machine of `size` states over `inputs`,
-    recorded until the tree has `target` nodes: the tree after each
-    record."""
+    random (partial) hidden machine of `size` states over `inputs` and
+    `outputs`, recorded until the tree has `target` nodes: the tree after
+    each record."""
     states = tuple(f"s{k}" for k in range(size))
     delta = {
-        (s, i): (rng.choice(("x", "y", "z")), rng.choice(states))
+        (s, i): (rng.choice(outputs), rng.choice(states))
         for s in states
         for i in inputs
         if rng.random() < density
     }
-    hidden = PartialMealyMachine("h", inputs, ("x", "y", "z"), states, delta)
+    hidden = PartialMealyMachine("h", inputs, outputs, states, delta)
     tree = ObservationTree.empty(inputs, hidden.outputs)
     words = [()]
     for _ in range(4 * target):
@@ -342,6 +352,18 @@ def test_frontier_matches_row_engine(seed, inputs, size, density, target):
         current = _position_pairs(tree, frontier)
         assert previous <= current
         previous = current
+
+
+@pytest.mark.parametrize("outputs", [("x",), ("v", "w", "x", "y", "z")])
+def test_frontier_lifts_the_children_of_agreeing_edges(outputs):
+    # the lift skips the children of edges whose output differs from the
+    # edge being lifted; with one output it skips none (and nothing is
+    # apart), with five it skips most
+    for seed in range(4):
+        trees = list(_growing_trees(random.Random(seed), ("a", "b", "c"), 8, 0.9, 160, outputs))
+        assert len(trees[-1]._into) >= 160
+        for tree in trees:
+            assert tree_apartness_frontier(tree).rows == tuple(_mealy_dead(tree.as_machine()))
 
 
 def test_frontier_on_a_large_tree():
@@ -456,6 +478,50 @@ def test_conflict_against_forced_merge_machine():
     tree = conflict_tree()
     result = find_lax_morphism_from_tree(tree, forced, names[find("p")])
     assert isinstance(result, TreeConflict)
+
+
+def _reversed_alphabets(m):
+    return PartialMealyMachine(m.name, m.inputs[::-1], m.outputs[::-1], m.states, m.delta)
+
+
+def _first_unmatched(tree, hypothesis, root):
+    """The first access word in `words()` order whose last edge the
+    hypothesis does not match from the image of its parent, or None."""
+    for word in tree.words()[1:]:
+        step = hypothesis.delta.get((run(hypothesis, root, word[:-1]), word[-1]))
+        if step is None or step[0] != tree.output_along(word)[-1]:
+            return word
+    return None
+
+
+def test_lax_morphism_reads_hypothesis_inputs_by_name():
+    # a hypothesis declaring its alphabets in reverse order gives the same
+    # map, and the same conflict on a wrong output or a missing transition
+    rng = random.Random(13)
+    for _ in range(25):
+        hidden = random_total_mealy(rng, rng.randint(2, 6), 3, 2)
+        root = hidden.states[0]
+        teacher = Teacher(hidden, root)
+        tree = ObservationTree.empty(hidden.inputs, hidden.outputs)
+        for _ in range(6):
+            word = [rng.choice(hidden.inputs) for _ in range(rng.randint(1, 5))]
+            tree = query_and_record(tree, teacher, word)
+        found = find_lax_morphism_from_tree(tree, hidden, root)
+        assert isinstance(found, StateMap)
+        again = find_lax_morphism_from_tree(tree, _reversed_alphabets(hidden), root)
+        assert again.mapping == found.mapping
+        # break the hidden transition under one tree edge
+        word = rng.choice(tree.words()[1:])
+        key = (run(hidden, root, word[:-1]), word[-1])
+        o, d = hidden.delta[key]
+        wrong = {**hidden.delta, key: (hidden.outputs[1 - hidden.outputs.index(o)], d)}
+        missing = {k: v for k, v in hidden.delta.items() if k != key}
+        for delta in (wrong, missing):
+            broken = PartialMealyMachine("h", hidden.inputs, hidden.outputs, hidden.states, delta)
+            expected = _first_unmatched(tree, broken, root)
+            assert expected is not None and len(expected) <= len(word)
+            for hypothesis in (broken, _reversed_alphabets(broken)):
+                assert find_lax_morphism_from_tree(tree, hypothesis, root) == TreeConflict(expected)
 
 
 def test_morphism_into_hidden_is_sound():

@@ -196,6 +196,16 @@ def test_index_is_not_a_field():
         assert "index" not in repr(m)
 
 
+def test_input_index_numbers_inputs_in_order():
+    # a Mealy machine's input positions index its tables' rows; `replace`
+    # builds them anew
+    for m in [*mealy_corpus(20), *quadruple()]:
+        assert m.input_index == {i: k for k, i in enumerate(m.inputs)}
+    _, q, _, _, _ = quadruple()
+    swapped = dataclasses.replace(q, inputs=tuple(reversed(q.inputs)))
+    assert swapped.input_index == {i: k for k, i in enumerate(reversed(q.inputs))}
+
+
 def test_equal_machines_compare_equal():
     for build in (quadruple, sa_pair):
         assert build() == build()
@@ -249,6 +259,35 @@ def test_run_validation_distinct_from_undefined():
         run(q, "nope", ("i",))
     with pytest.raises(ValidationError):
         run(q, "q0", ("k",))
+
+
+def test_run_and_eval_outcomes_keep_their_order():
+    # s -i/a-> t -j/b-> s; s has no j, t has no i
+    delta = {("s", "i"): ("a", "t"), ("t", "j"): ("b", "s")}
+    m = PartialMealyMachine("m", ("i", "j"), ("a", "b"), ("s", "t"), delta)
+    for walk in (run, eval_semantics):
+        # an unknown start state is refused before any input is read
+        with refused("unknown state 'nope' in machine 'm'"):
+            walk(m, "nope", ("k",))
+        # an unknown input is refused when the walk reaches it, also where
+        # no transition leaves the state
+        for word in (("k",), ("i", "k"), ("i", "j", "i", "k"), ("i", "k", "i")):
+            with refused("unknown input symbol 'k'"):
+                walk(m, "s", word)
+        with refused("unknown input symbol 'k'"):
+            walk(m, "t", ("k",))
+        # a missing transition before the unknown input ends the walk
+        for word in (("j", "k"), ("i", "i", "k"), ("j",), ("i", "i")):
+            assert walk(m, "s", word) is None
+    assert run(m, "s", ("i", "j", "i")) == "t" and eval_semantics(m, "s", ("i", "j", "i")) == "a"
+    assert run(m, "s", iter(("i", "j"))) == "s" and eval_semantics(m, "s", iter(("i", "j"))) == "b"
+    # the empty word: run stays put, eval_semantics refuses it first
+    assert run(m, "t", ()) == "t"
+    with refused("unknown state 'nope' in machine 'm'"):
+        run(m, "nope", ())
+    for state in ("s", "nope"):
+        with pytest.raises(ContractError, match="^eval_semantics requires a non-empty word$"):
+            eval_semantics(m, state, ())
 
 
 def test_eval_examples():

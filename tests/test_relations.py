@@ -24,6 +24,9 @@ def test_square_checks_pairs_and_from_rows_checks_rows():
         Relation.from_rows(("a", "b"), ("x",), [0b1, 0b10])  # bit 1 is past ("x",)
     with pytest.raises(ValidationError):
         Relation.from_rows(("a", "b"), ("x", "y"), [0b1])  # one row for two elements
+    with pytest.raises(ValidationError):
+        Relation.from_rows(("a", "b"), ("x",), [0b1, -1])  # a negative row
+    assert Relation.from_rows((), ("x",), []).rows == ()
     pairs = {("a", "b"), ("b", "b")}
     rows = Relation.from_rows(("a", "b"), ("a", "b"), [0b10, 0b10])
     assert rows == Relation.square(("a", "b"), pairs)
@@ -158,6 +161,22 @@ def test_square_rows_agree_with_pair_sets(data):
     assert pulled.left == pulled.right == tuple(f)
     assert pulled.pairs == {(a, b) for a in f for b in f if (f[a], f[b]) in pairs}
     assert kernel_relation(f).pairs == {(a, b) for a in f for b in f if f[a] == f[b]}
+
+
+def test_square_carriers_that_are_equal_but_distinct_objects():
+    # an equal right carrier shares the left positions; a reordered one does not
+    left = ("a", "b", "c")
+    right = tuple(list(left))
+    assert right is not left
+    rel = Relation(left, right, {("a", "c"), ("c", "a")})
+    assert rel.is_square and rel == Relation.square(left, {("a", "c"), ("c", "a")})
+    assert ("a", "c") in rel and ("c", "a") in rel and ("a", "b") not in rel
+    assert rel.rows == (0b100, 0, 0b1)
+    swapped = Relation(left, ("c", "b", "a"), {("a", "c"), ("c", "a")})
+    assert not swapped.is_square and swapped.rows == (0b1, 0, 0b100)
+    assert ("a", "c") in swapped and ("a", "a") not in swapped
+    with pytest.raises(ValidationError):
+        Relation(("a", "a"), ("a", "a"), set())
 
 
 def test_non_square_symmetry_and_duplicate_carriers():
