@@ -1,17 +1,20 @@
 """Greatest-fixpoint decision procedures.
 
 Uncertain bisimilarity, bisimilarity and ioco compatibility are greatest
-fixpoints on pairs of states.  Each is computed through its complement,
-the least fixpoint of "this pair is apart", by backward propagation: the
-pairs that break a clause on their own are seeded, and each dead pair
-kills the pairs that reach it through a label (for ioco's existential
-output clause, once the last of their common outputs leads to a dead
-pair).  Every (pair, label) is reached once, so each relation takes
+fixpoints on pairs of states.  Uncertain bisimilarity and ioco
+compatibility are not transitive, so partition refinement would be
+unsound for them: each is computed through its complement, the least
+fixpoint of "this pair is apart", by backward propagation.  The pairs
+that break a clause on their own are seeded, and each dead pair kills
+the pairs that reach it through a label (for ioco's existential output
+clause, once the last of their common outputs leads to a dead pair).
+Every (pair, label) is reached once, so each relation takes
 O(n^2 * |labels|) steps for n states (Liu and Smolka, "Simple linear-time
-algorithms for minimal fixed points", ICALP 1998).
-Uncertain bisimilarity is not transitive, so partition refinement would
-be unsound; the pairwise propagation is the algorithm of record.  Its
-references, by the definition, are in `lifting`.
+algorithms for minimal fixed points", ICALP 1998).  Bisimilarity is an
+equivalence, so partition refinement computes it on classes of states
+(Kanellakis and Smolka, "CCS expressions, finite state processes, and
+three problems of equivalence", 1990).  The references of uncertain
+bisimilarity, by the definition, are in `lifting`.
 
 The dead pairs are kept as rows, one Python int per state x whose bit y
 stands for the pair (x, y), and they propagate a row at a time: the bits
@@ -26,7 +29,7 @@ are what a `Relation` stores, so the engines hand theirs over as they are.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -187,18 +190,13 @@ def _differing(keys: list) -> list[int]:
     return [0 if k is None else keyed ^ classes[k] for k in keys]
 
 
-def _mealy_dead(m: PartialMealyMachine, same_inputs: bool = False) -> list[int]:
-    """The rows of pairs outside uncertain bisimilarity, or outside
-    bisimilarity with `same_inputs`.  Seeds are the pairs whose outputs
-    differ on a common input and, with `same_inputs`, those whose sets of
-    defined inputs differ."""
+def _mealy_dead(m: PartialMealyMachine) -> list[int]:
+    """The rows of pairs outside uncertain bisimilarity.  Seeds are the
+    pairs whose outputs differ on a common input."""
     n = len(m.states)
     succ, out = m.tables()
-    keys = list(out)
-    if same_inputs:
-        keys.append([tuple(s[x] >= 0 for s in succ) for x in range(n)])
     seeds = [0] * n
-    for rows in map(_differing, keys):
+    for rows in map(_differing, out):
         seeds = list(map(or_, seeds, rows))
     return _dead_pairs(n, succ, seeds)
 
@@ -212,8 +210,61 @@ def uncertain_bisimilarity(m: PartialMealyMachine) -> Relation:
 
 def bisimilarity(m: PartialMealyMachine) -> Relation:
     """Ordinary bisimilarity: related states must have transitions on
-    exactly the same inputs, with equal outputs and related successors."""
-    return Relation.from_rows(m.states, m.states, _mealy_dead(m, same_inputs=True)).complement()
+    exactly the same inputs, with equal outputs and related successors.
+
+    Partition refinement from the classes of equal outputs per input
+    (None where undefined).  A class keeps its id and its signature, its
+    members' successor class per input (-1 where undefined).  Each round
+    re-examines the predecessors of the states that moved in the round
+    before (every state in the first), and moves those off their class's
+    signature to a new class per (class, signature); but when no member
+    kept it, the largest group keeps the class and sets the signature.
+    At most n rounds, O(n^2 * |inputs|) steps at worst.
+    """
+    n = len(m.states)
+    succ, out = m.tables()
+    ids: dict = {}
+    cls = [ids.setdefault(key, len(ids)) for key in (zip(*out) if out else [()] * n)]
+    size = [*Counter(cls).values()]  # in id order: ids follow the keys' first appearance
+    sig: list = [None] * len(ids)
+    cls.append(-1)  # cls[-1]: the class of an undefined successor
+    get = cls.__getitem__
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for s in succ:
+        for x, d in enumerate(s):
+            if d >= 0:
+                pred[d].append(x)
+    cols = list(zip(*succ))
+    todo = range(n)  # the first round re-examines every state
+    sigs = zip(*[map(get, s) for s in succ]) if succ else [()] * n
+    while todo:
+        parts: dict = {}  # per class, the re-examined members off its signature
+        for x, s in zip(todo, sigs):
+            if s != sig[cls[x]]:
+                parts.setdefault(cls[x], {}).setdefault(s, []).append(x)
+        moved: list[int] = []
+        for c, groups in parts.items():
+            if sum(map(len, groups.values())) == size[c]:
+                # no member kept the signature: the largest group keeps the class, else
+                # a class whose members all move alike would be renamed forever
+                if len(groups) == 1:  # the common case, without the calls of max
+                    sig[c], = groups
+                    continue
+                sig[c] = max(groups, key=lambda s: len(groups[s]))
+                del groups[sig[c]]
+            for s, xs in groups.items():
+                size[c] -= len(xs)
+                for x in xs:
+                    cls[x] = len(sig)
+                sig.append(s)
+                size.append(len(xs))
+                moved += xs
+        todo = {p for x in moved for p in pred[x]}
+        sigs = [tuple(map(get, cols[x])) for x in todo]
+    rows = [0] * len(sig)
+    for x in range(n):
+        rows[cls[x]] |= 1 << x
+    return Relation.from_rows(m.states, m.states, map(rows.__getitem__, cls[:n]))
 
 
 def ioco_compatibility(a: SuspensionAutomaton) -> Relation:

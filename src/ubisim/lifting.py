@@ -165,7 +165,8 @@ def semantic_oracle_uncertain(
     """Decide compatibility of x and y at the level of word semantics.
 
     Enumerates every word up to length |states|^2 and requires agreement
-    whenever both semantics are defined.  When the word count exceeds the
+    whenever both semantics are defined, depth first, extending only the
+    words on which both states have a run.  When the word count exceeds the
     budget, answers by the greatest fixpoint of the uncertain lifting
     instead, computed by rounds that drop the pairs the lifting refuses,
     and logs that it did so.
@@ -181,11 +182,15 @@ def semantic_oracle_uncertain(
         if total > budget:
             break
     if total <= budget:
-        for length in range(1, max_len + 1):
-            for word in itertools.product(m.inputs, repeat=length):
-                ox = eval_semantics(m, x, word)
-                if ox is not None and eval_semantics(m, y, word) not in (None, ox):
+        words = [(i,) for i in m.inputs]
+        while words:
+            word = words.pop()
+            ox, oy = eval_semantics(m, x, word), eval_semantics(m, y, word)
+            if ox is not None and oy is not None:
+                if ox != oy:
                     return False
+                if len(word) < max_len:
+                    words += [(*word, i) for i in m.inputs]
         return True
 
     import logging  # for this line only, so that importing the module loads no logging

@@ -134,6 +134,15 @@ def mealy_cycle(n: int) -> PartialMealyMachine:
     return PartialMealyMachine("cyc", ("i",), ("x", "y"), states, delta)
 
 
+def mealy_chain(n: int, n_inputs: int = 1) -> PartialMealyMachine:
+    """An n-state chain that steps to the next state on every input and
+    outputs x, with no transition at the end: no two states are bisimilar,
+    and every refinement round separates one more state."""
+    states, inputs = tuple(f"c{k}" for k in range(n)), INPUT_POOL[:n_inputs]
+    delta = {(states[k], i): ("x", states[k + 1]) for k in range(n - 1) for i in inputs}
+    return PartialMealyMachine("chain", inputs, ("x",), states, delta)
+
+
 def merge_cycle(n: int) -> PartialMealyMachine:
     """A one-input n-cycle with a single output: identifying c0 with ck
     merges exactly the residue classes modulo gcd(n, k)."""

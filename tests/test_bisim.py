@@ -6,6 +6,7 @@ from helpers import (
     fixture_doc,
     ioco_compatible_search,
     lax_chain,
+    mealy_chain,
     mealy_corpus,
     mealy_cycle,
     quadruple,
@@ -248,6 +249,46 @@ def test_bisimilarity_refines_uncertain():
         assert bisimilarity(m).pairs <= uncertain_bisimilarity(m).pairs
 
 
+def full_round_classes(m):
+    """Bisimilarity's classes by whole rounds, with no worklist: first the
+    states' outputs per input (None where undefined), then each round
+    splits every class by its members' successor classes, until no class
+    splits."""
+
+    def number(keys):
+        ids = {}
+        return {x: ids.setdefault(key, len(ids)) for x, key in keys.items()}
+
+    cls = number({x: tuple(m.delta.get((x, i), (None,))[0] for i in m.inputs) for x in m.states})
+    steps = {x: [m.delta.get((x, i), (None, None))[1] for i in m.inputs] for x in m.states}
+    while True:
+        new = number({x: (cls[x], *map(cls.get, steps[x])) for x in m.states})
+        if len(set(new.values())) == len(set(cls.values())):
+            return new
+        cls = new
+
+
+def test_bisimilarity_matches_full_rounds_at_scale():
+    # past the rounds oracle's reach: chains and cycles, which split one
+    # class per round, and random partial machines
+    rng = random.Random(1971)
+    for n in (400, 800):
+        for m in (mealy_chain(n), mealy_cycle(n), random_partial_mealy(rng, n, 3, 2, density=0.7)):
+            cls = full_round_classes(m)
+            pairs = {(x, y) for x in m.states for y in m.states if cls[x] == cls[y]}
+            assert bisimilarity(m).pairs == pairs, (m.name, n)
+
+
+def test_bisimilarity_is_an_equivalence_inside_uncertain_bisimilarity():
+    # every bisimilar pair is an uncertain bisimilar pair
+    for m in mealy_corpus(500):
+        pairs = bisimilarity(m).pairs
+        assert {(x, x) for x in m.states} <= pairs
+        assert {(y, x) for x, y in pairs} == pairs
+        assert {(x, z) for x, y in pairs for w, z in pairs if y == w} <= pairs
+        assert pairs <= uncertain_bisimilarity(m).pairs
+
+
 # ---------------------------------------------------------------------------
 # checking externally supplied relations
 
@@ -390,12 +431,23 @@ def test_engine_matches_rounds_on_mealy():
         for inputs in (2, 3)
         for density in (0.3, 0.9)
     ]
-    machines = list(mealy_corpus(200)) + wide + [
+    # from sparse to dense, up to 200 states, with 1 to 3 inputs and outputs
+    wide += [
+        random_partial_mealy(rng, n, rng.randint(1, 3), rng.randint(1, 3), density=density)
+        for n, density in ((65, 0.1), (80, 0.3), (100, 0.5), (150, 0.7), (200, 0.9), (200, 0.4))
+    ]
+    # chains and cycles split one class per refinement round
+    chains = [mealy_chain(n, inputs) for n in (1, 2, 5, 50) for inputs in (1, 2)]
+    machines = list(mealy_corpus(200)) + wide + chains + [
+        mealy_cycle(1),
+        mealy_cycle(2),
         mealy_cycle(30),
         mealy_cycle(60),
         mealy_cycle(70),
+        mealy_cycle(90),
         PartialMealyMachine("one", ("a", "b"), ("x",), ("s",), {("s", "a"): ("x", "s")}),
         PartialMealyMachine("none", ("a", "b"), ("x", "y"), ("s0", "s1", "s2"), {}),
+        PartialMealyMachine("no_inputs", (), ("x",), ("s0", "s1", "s2"), {}),
         PartialMealyMachine("empty", ("a",), ("x",), (), {}),
     ]
     for m in machines:
