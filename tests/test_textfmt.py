@@ -145,3 +145,90 @@ def test_token_deletion_fuzz(name):
             except ParseError:
                 continue
             assert parse(render(doc)) == doc
+
+
+# Every message the parser raises, with its line.  A line with several
+# faults reports the first check that fails.  The checks of a transition
+# line run in this order: the section kind, the arity, then each token in
+# turn (src, in, out, dst for `trans`; src, dst, symbol for `itrans` and
+# `otrans`), testing first that the token's list is declared; the
+# duplicate test comes last.
+MEALY = "mealy m\ninputs i j\noutputs o p\nstates s t\n"  # lines 1-4
+SA = "sa a\ninputs i\noutputs o\nstates s t\notrans s o s\notrans t o t\n"  # lines 1-6
+TWO = "mealy m\ninputs i\noutputs o\nstates s t\n\nmealy n\ninputs i\noutputs o\nstates u v\n\n"
+PARSE_ERRORS = {
+    # declared before use, for each of the three lists
+    "states-undeclared": ("mealy m\ntrans s i o s\n", 2, "states must be declared before use"),
+    "inputs-undeclared": ("mealy m\nstates s\ntrans s i o s\n", 3, "inputs must be declared before use"),
+    "outputs-undeclared": ("mealy m\nstates s\ninputs i\ntrans s i o s\n", 4,
+                           "outputs must be declared before use"),
+    "states-undeclared-at-close": ("mealy m\ninputs i\noutputs o\n", 1, "states must be declared before use"),
+    "inputs-undeclared-at-close": ("sa a\nstates s\noutputs o\n", 1, "inputs must be declared before use"),
+    # each of the four trans token positions
+    "trans-src": (MEALY + "trans u i o s\n", 5, "undeclared state 'u'"),
+    "trans-input": (MEALY + "trans s k o s\n", 5, "undeclared input 'k'"),
+    "trans-output": (MEALY + "trans s i q s\n", 5, "undeclared output 'q'"),
+    "trans-dst": (MEALY + "trans s i o u\n", 5, "undeclared state 'u'"),
+    "trans-kind": (SA + "trans s i o s\n", 7, "trans line outside a mealy section"),
+    "trans-short": (MEALY + "trans s i o\n", 5, "trans needs <src> <in> <out> <dst>"),
+    "trans-long": (MEALY + "trans s i o s t\n", 5, "trans needs <src> <in> <out> <dst>"),
+    "trans-hash-in-token": (MEALY + "trans s#1 i o s\n", 5, "trans needs <src> <in> <out> <dst>"),
+    # itrans and otrans
+    "itrans-symbol": (SA + "itrans s o t\n", 7, "undeclared symbol 'o'"),
+    "otrans-symbol": (SA + "otrans s i t\n", 7, "undeclared symbol 'i'"),
+    "itrans-src": (SA + "itrans u i t\n", 7, "undeclared state 'u'"),
+    "otrans-dst": (SA + "otrans s o u\n", 7, "undeclared state 'u'"),
+    "itrans-kind": (MEALY + "itrans s i s\n", 5, "itrans line outside an sa section"),
+    "otrans-kind": (MEALY + "otrans s o s\n", 5, "otrans line outside an sa section"),
+    "itrans-arity": (SA + "itrans s i\n", 7, "itrans needs <src> <sym> <dst>"),
+    "otrans-arity": (SA + "otrans s o t t\n", 7, "otrans needs <src> <sym> <dst>"),
+    "itrans-inputs-undeclared": ("sa a\nstates s\nitrans s i s\n", 3, "inputs must be declared before use"),
+    "otrans-outputs-undeclared": ("sa a\nstates s\notrans s o s\n", 3, "outputs must be declared before use"),
+    # duplicates
+    "trans-duplicate": (MEALY + "trans s i o s\ntrans s i p t\n", 6, "duplicate transition for (s, i)"),
+    "itrans-duplicate": (SA + "itrans s i s\nitrans s i t\n", 8, "duplicate itrans for (s, i)"),
+    "otrans-duplicate": (SA + "otrans s o t\n", 7, "duplicate otrans for (s, o)"),
+    "states-line-duplicate": (MEALY + "states u\n", 5, "duplicate states line"),
+    "outputs-line-empty": ("mealy m\ninputs i\noutputs # none\n", 3, "empty outputs list"),
+    "section-name-duplicate": (TWO + "rel m on m\n", 11, "duplicate section name 'm'"),
+    "map-entry-duplicate": (TWO + "map f from m to n\npair s u\npair s v\n", 13, "duplicate map entry for 's'"),
+    # the other line checks
+    "machine-key": (MEALY + "pair s t\n", 5, "unexpected 'pair' in a machine section"),
+    "stray-line": ("# header\ntrans s i o s\n", 2, "unexpected 'trans' outside any section"),
+    "section-needs-name": ("sa\n", 1, "sa section needs a name"),
+    "machine-one-name": ("total-mealy m n\n", 1, "total-mealy takes exactly one name"),
+    "map-header": (TWO + "map f from m into n\n", 11, "expected 'map <name> from <m1> to <m2>'"),
+    "rel-header": (TWO + "rel r on m n\n", 11, "expected 'rel <name> on <m1> [x <m2>]'"),
+    "unknown-machine": (TWO + "rel r on m x k\n", 11, "unknown machine 'k'"),
+    "pair-arity": (TWO + "rel r on m x n\npair s\n", 12, "expected 'pair <s> <t>' in a rel section"),
+    "pair-left": (TWO + "map f from m to n\npair u u\n", 12, "undeclared state 'u' in machine 'm'"),
+    "pair-right": (TWO + "rel r on m x n\npair s s\n", 12, "undeclared state 's' in machine 'n'"),
+    # checks of the whole section, reported at its first line
+    "total-hole": ("total-mealy m\ninputs i j\noutputs o\nstates s\ntrans s i o s\n", 1,
+                   "machine declared total but 's' has no transition on 'j'"),
+    "blocking": ("sa a\ninputs i\noutputs o\nstates s t\notrans s o t\n", 1,
+                 "blocking state 't': no output transition"),
+    "map-not-total": (TWO + "map f from m to n\npair s u\n", 11, "map is not total: missing 't'"),
+    # two faults on one line: the earlier check's message wins
+    "kind-before-arity": (SA + "trans s i\n", 7, "trans line outside a mealy section"),
+    "arity-before-declared": ("mealy m\ntrans s i o\n", 2, "trans needs <src> <in> <out> <dst>"),
+    "src-before-input": (MEALY + "trans u k o s\n", 5, "undeclared state 'u'"),
+    "src-before-inputs-declared": ("mealy m\nstates s\ntrans u i o s\n", 3, "undeclared state 'u'"),
+    "input-before-output": (MEALY + "trans s k q u\n", 5, "undeclared input 'k'"),
+    "output-before-dst": (MEALY + "trans s i q u\n", 5, "undeclared output 'q'"),
+    "dst-before-symbol": (SA + "itrans s k u\n", 7, "undeclared state 'u'"),
+    "token-before-duplicate": (MEALY + "trans s i o s\ntrans s i q s\n", 6, "undeclared output 'q'"),
+    "close-before-header": ("sa a\ninputs i\noutputs o\nstates s\n\nmealy\n", 1,
+                            "blocking state 's': no output transition"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_message_and_line(case):
+    text, line, message = PARSE_ERRORS[case]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (line_of(err), str(err.value)) == (line, f"line {line}: {message}")
+    with pytest.raises(ParseError) as err:
+        parse(text.replace("\n", "\r\n"))
+    assert str(err.value) == f"line {line}: {message}"
