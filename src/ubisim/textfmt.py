@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .errors import ParseError, UbisimError
+from .errors import ParseError, UbisimError, ValidationError
 from .machines import PartialMealyMachine, SuspensionAutomaton
 from .relations import Relation
 
@@ -87,13 +87,13 @@ class _MachineBuilder:
         self.name = name
         self.line = line
         self.lists: dict[str, tuple[str, ...]] = {}  # the inputs, outputs and states lines
-        self.sets: dict[str, frozenset] = {}  # the same lists, for lookups
+        self.sets = {key: set() for key in ("inputs", "outputs", "states")}  # filled as declared
         self.delta: dict = {}
         self.din: dict = {}
         self.dout: dict = {}
 
-    def need(self, what, line) -> frozenset:
-        if what not in self.sets:
+    def need(self, what, line) -> set:
+        if what not in self.lists:
             raise ParseError(f"{what} must be declared before use", line)
         return self.sets[what]
 
@@ -103,18 +103,17 @@ class _MachineBuilder:
                 raise ParseError(f"duplicate {key} line", line)
             if not args:
                 raise ParseError(f"empty {key} list", line)
-            self.lists[key], self.sets[key] = tuple(args), frozenset(args)
+            self.lists[key] = tuple(args)
+            self.sets[key].update(args)
             return
         if key == "trans":
             if self.kind not in ("mealy", "total-mealy"):
                 raise ParseError("trans line outside a mealy section", line)
             if len(args) != 4:
                 raise ParseError("trans needs <src> <in> <out> <dst>", line)
+            for tok, what in zip(args, ("state", "input", "output", "state")):
+                self._check(tok, what, what + "s", line)
             src, i, o, dst = args
-            self._check(src, "state", "states", line)
-            self._check(i, "input", "inputs", line)
-            self._check(o, "output", "outputs", line)
-            self._check(dst, "state", "states", line)
             if (src, i) in self.delta:
                 raise ParseError(f"duplicate transition for ({src}, {i})", line)
             self.delta[(src, i)] = (o, dst)
@@ -142,20 +141,11 @@ class _MachineBuilder:
     def build(self) -> Union[PartialMealyMachine, SuspensionAutomaton]:
         for what in ("inputs", "outputs", "states"):
             self.need(what, self.line)
-        inputs, outputs, states = (self.lists[what] for what in ("inputs", "outputs", "states"))
+        lists = (self.lists["inputs"], self.lists["outputs"], self.lists["states"])
         try:
             if self.kind == "sa":
-                return SuspensionAutomaton(
-                    self.name, inputs, outputs, states, self.din, self.dout
-                )
-            return PartialMealyMachine(
-                self.name,
-                inputs,
-                outputs,
-                states,
-                self.delta,
-                total=(self.kind == "total-mealy"),
-            )
+                return SuspensionAutomaton(self.name, *lists, self.din, self.dout)
+            return PartialMealyMachine(self.name, *lists, self.delta, total=self.kind == "total-mealy")
         except UbisimError as exc:
             raise ParseError(str(exc), self.line) from None
 
@@ -216,24 +206,31 @@ def parse(text: str) -> Document:
     names: set[str] = set()
     machines: dict[str, Union[PartialMealyMachine, SuspensionAutomaton]] = {}
     builder: Union[_MachineBuilder, _PairsBuilder, None] = None
+    states = inputs = outputs = frozenset()  # the open mealy section's declared sets
+    delta: dict = {}  # and its transitions
 
     def close():
-        nonlocal builder
-        if builder is None:
-            return
-        section = builder.build()
-        sections.append(section)
-        if isinstance(section, (PartialMealyMachine, SuspensionAutomaton)):
-            machines[section.name] = section
-        builder = None
+        if builder is not None:
+            sections.append(builder.build())
+            if isinstance(builder, _MachineBuilder):
+                machines[builder.name] = sections[-1]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        toks = raw.split()
+        if len(toks) == 5 and toks[0] == "trans":
+            # one test accepts a valid line; `feed` reports what is wrong with any other
+            _, src, i, o, dst = toks
+            if src in states and i in inputs and o in outputs and dst in states and (src, i) not in delta:
+                delta[src, i] = o, dst
+                continue
         if not toks:
             continue
         key, args = toks[0], toks[1:]
         if key in _SECTION_KEYS:
             close()
+            states = inputs = outputs = frozenset()
             if not args:
                 raise ParseError(f"{key} section needs a name", lineno)
             name = args[0]
@@ -244,18 +241,16 @@ def parse(text: str) -> Document:
                 if len(args) != 1:
                     raise ParseError(f"{key} takes exactly one name", lineno)
                 builder = _MachineBuilder(key, name, lineno)
-            elif key == "map":
-                if len(args) != 5 or args[1] != "from" or args[3] != "to":
-                    raise ParseError("expected 'map <name> from <m1> to <m2>'", lineno)
-                builder = _PairsBuilder("map", name, machines, args[2], args[4], lineno)
+                if key != "sa":
+                    inputs, outputs, states = builder.sets.values()
+                    delta = builder.delta
             else:
-                if len(args) == 3 and args[1] == "on":
-                    left = right = args[2]
-                elif len(args) == 5 and args[1] == "on" and args[3] == "x":
-                    left, right = args[2], args[4]
-                else:
-                    raise ParseError("expected 'rel <name> on <m1> [x <m2>]'", lineno)
-                builder = _PairsBuilder("rel", name, machines, left, right, lineno)
+                if key == "rel" and len(args) == 3:
+                    args += ["x", args[2]]  # a rel on one machine
+                if len(args) != 5 or args[1::2] != (["from", "to"] if key == "map" else ["on", "x"]):
+                    form = "from <m1> to <m2>" if key == "map" else "on <m1> [x <m2>]"
+                    raise ParseError(f"expected '{key} <name> {form}'", lineno)
+                builder = _PairsBuilder(key, name, machines, args[2], args[4], lineno)
             continue
         if builder is None:
             raise ParseError(f"unexpected {key!r} outside any section", lineno)
@@ -265,7 +260,7 @@ def parse(text: str) -> Document:
 
 
 def parse_file(path) -> Document:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse(fh.read())
 
 
@@ -273,7 +268,18 @@ def parse_file(path) -> Document:
 # rendering
 
 
+def _writable(what: str, names) -> None:
+    """Refuse the first name that `parse` would not read back as one token."""
+    for name in names:
+        if name.split() != [name] or "#" in name:
+            raise ValidationError(f"cannot render {what} {name!r}: a name is one token, without '#'")
+
+
 def _render_machine(m: Union[PartialMealyMachine, SuspensionAutomaton]) -> list[str]:
+    _writable("section name", (m.name,))
+    _writable("input symbol", m.inputs)
+    _writable("output symbol", m.outputs)
+    _writable("state", m.states)
     if isinstance(m, SuspensionAutomaton):
         head = "sa"
     else:
@@ -304,12 +310,15 @@ def _render_machine(m: Union[PartialMealyMachine, SuspensionAutomaton]) -> list[
 
 def render(doc: Document) -> str:
     """Canonical text for a document: transitions and pairs emitted in
-    declaration order, one blank line between sections."""
+    declaration order, one blank line between sections.  Raises
+    ValidationError on a name that is empty or holds whitespace or '#'."""
     chunks = []
     for section in doc.sections:
         if isinstance(section, (PartialMealyMachine, SuspensionAutomaton)):
             chunks.append(_render_machine(section))
-        elif isinstance(section, MapDecl):
+            continue
+        _writable("section name", (section.name,))
+        if isinstance(section, MapDecl):
             lines = [f"map {section.name} from {section.source_machine} to {section.target_machine}"]
             for s in section.statemap.source.states:
                 lines.append(f"pair {s} {section.statemap(s)}")

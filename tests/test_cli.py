@@ -41,6 +41,19 @@ def test_golden(name):
     assert code == expected_code
 
 
+def test_byte_order_mark_is_ignored(tmp_path):
+    # every golden again, on copies of its fixtures saved with a UTF-8 BOM
+    copies = {}
+    for name, path in PATHS.items():
+        copies[path] = tmp_path / f"{name}.txt"
+        copies[path].write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    for golden in sorted(GOLDEN.glob("*.txt")):
+        argv, expected_code, expected_out = load_golden(golden)
+        for path, copy in copies.items():
+            argv = [tok.replace(path, str(copy)) for tok in argv]
+        assert run_cli(argv) == (expected_code, expected_out), golden.name
+
+
 def test_first_token_contract():
     # the first stdout token is machine-readable and tied to the exit code
     refuting = {"APART", "VIOLATION", "NOT-SIMULATION", "merge", "INCOMPATIBLE"}

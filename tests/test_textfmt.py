@@ -1,7 +1,24 @@
+import random
+import re
+from dataclasses import replace
+
 import pytest
 
-from helpers import FIXTURES, fixture_doc
-from ubisim import ParseError, parse, render
+from helpers import FIXTURES, fixture_doc, mealy_corpus, random_lax_map, random_sa
+from ubisim import (
+    Document,
+    MapDecl,
+    ParseError,
+    PartialMealyMachine,
+    Relation,
+    RelDecl,
+    StateMap,
+    ValidationError,
+    parse,
+    parse_file,
+    render,
+    uncertain_bisimilarity,
+)
 from ubisim.machines import SuspensionAutomaton
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.txt"))
@@ -170,6 +187,10 @@ PARSE_ERRORS = {
     "trans-output": (MEALY + "trans s i q s\n", 5, "undeclared output 'q'"),
     "trans-dst": (MEALY + "trans s i o u\n", 5, "undeclared state 'u'"),
     "trans-kind": (SA + "trans s i o s\n", 7, "trans line outside a mealy section"),
+    "trans-after-mealy-in-sa": (MEALY + "\n" + SA + "trans s i o s\n", 12,
+                                "trans line outside a mealy section"),
+    "trans-after-mealy-in-rel": (MEALY + "rel r on m\ntrans s i o s\n", 6,
+                                 "expected 'pair <s> <t>' in a rel section"),
     "trans-short": (MEALY + "trans s i o\n", 5, "trans needs <src> <in> <out> <dst>"),
     "trans-long": (MEALY + "trans s i o s t\n", 5, "trans needs <src> <in> <out> <dst>"),
     "trans-hash-in-token": (MEALY + "trans s#1 i o s\n", 5, "trans needs <src> <in> <out> <dst>"),
@@ -191,7 +212,8 @@ PARSE_ERRORS = {
     "states-line-duplicate": (MEALY + "states u\n", 5, "duplicate states line"),
     "outputs-line-empty": ("mealy m\ninputs i\noutputs # none\n", 3, "empty outputs list"),
     "section-name-duplicate": (TWO + "rel m on m\n", 11, "duplicate section name 'm'"),
-    "map-entry-duplicate": (TWO + "map f from m to n\npair s u\npair s v\n", 13, "duplicate map entry for 's'"),
+    "map-entry-duplicate": (TWO + "map f from m to n\npair s u\npair s v\n", 13,
+                            "duplicate map entry for 's'"),
     # the other line checks
     "machine-key": (MEALY + "pair s t\n", 5, "unexpected 'pair' in a machine section"),
     "stray-line": ("# header\ntrans s i o s\n", 2, "unexpected 'trans' outside any section"),
@@ -232,3 +254,88 @@ def test_parse_error_message_and_line(case):
     with pytest.raises(ParseError) as err:
         parse(text.replace("\n", "\r\n"))
     assert str(err.value) == f"line {line}: {message}"
+
+
+def corpus_document(seed):
+    """Renamed corpus machines, each with its uncertain bisimilarity as a
+    rel, suspension automata, and lax maps with their graphs as rels
+    between two machines."""
+    rng = random.Random(seed)
+    sections = []
+    for k, m in enumerate(mealy_corpus(4, seed)):
+        m = replace(m, name=f"m{k}")
+        sections += [m, RelDecl(f"u{k}", m.name, m.name, uncertain_bisimilarity(m))]
+    sections += [random_sa(rng, rng.randint(1, 5), name=f"a{k}") for k in range(2)]
+    for k in range(2):
+        h = random_lax_map(rng)
+        src, tgt = replace(h.source, name=f"c{k}"), replace(h.target, name=f"d{k}")
+        statemap = StateMap(src, tgt, h.mapping, name=f"h{k}")
+        graph = Relation(src.states, tgt.states, h.mapping.items())
+        sections += [src, tgt, MapDecl(f"h{k}", src.name, tgt.name, statemap),
+                     RelDecl(f"g{k}", src.name, tgt.name, graph)]
+    return Document(tuple(sections))
+
+
+def clutter(text, rng):
+    """The same document with comments, blank lines, runs of spaces and
+    tabs, and CRLF line endings."""
+    lines = []
+    for line in text.splitlines():
+        if rng.random() < 0.2:
+            lines.append("# a comment line")
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", "  ", "\t")))
+        toks = line.split()
+        lines.append(rng.choice((" ", "  ", "\t")).join(toks) + rng.choice(("", " # trailing", "#x#y", " ")))
+    return "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_roundtrip_on_generated_documents(seed):
+    doc = corpus_document(seed)
+    text = render(doc)
+    assert parse(text) == doc
+    assert render(parse(text)) == text
+    cluttered = clutter(text, random.Random(seed))
+    assert parse(cluttered) == doc
+    assert render(parse(cluttered)) == text
+
+
+def test_parse_file_ignores_a_byte_order_mark(tmp_path):
+    text = render(corpus_document(0))
+    path = tmp_path / "bom.txt"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert parse_file(path) == parse(text)
+
+
+UNWRITABLE = ("", "t u", "s#1", "a\tb", "x\n", " s", "#")
+
+
+@pytest.mark.parametrize("bad", UNWRITABLE)
+@pytest.mark.parametrize("what", ("section name", "input symbol", "output symbol", "state"))
+def test_render_refuses_unwritable_machine_names(what, bad):
+    names = {"section name": "m", "input symbol": "i", "output symbol": "o", "state": "s"}
+    names[what] = bad
+    m, i, o, s = names.values()
+    machine = PartialMealyMachine(m, (i,), (o,), (s,), {(s, i): (o, s)})
+    with pytest.raises(ValidationError, match=re.escape(f"cannot render {what} {bad!r}:")):
+        render(Document((machine,)))
+
+
+@pytest.mark.parametrize("bad", UNWRITABLE)
+def test_render_refuses_unwritable_section_names(bad):
+    m = PartialMealyMachine("m", ("i",), ("o",), ("s",), {})
+    for section in (RelDecl(bad, "m", "m", Relation.identity(m.states)),
+                    MapDecl(bad, "m", "m", StateMap(m, m, {"s": "s"}, name=bad))):
+        with pytest.raises(ValidationError, match=re.escape(f"cannot render section name {bad!r}:")):
+            render(Document((m, section)))
+
+
+def test_render_refuses_the_first_unwritable_name():
+    # "s#1 t u" would read back as three states, and the trans line would fail
+    m = PartialMealyMachine("m", ("a",), ("x",), ("s#1", "t u"), {("s#1", "a"): ("x", "t u")})
+    with pytest.raises(ValidationError, match="cannot render state 's#1'"):
+        render(Document((m,)))
+    sa = SuspensionAutomaton("sa", ("a b",), ("x",), ("s",), {}, {("s", "x"): "s"})
+    with pytest.raises(ValidationError, match="cannot render input symbol 'a b'"):
+        render(Document((sa,)))
