@@ -11,10 +11,14 @@ clause, once the last of their common outputs leads to a dead pair).
 Every (pair, label) is reached once, so each relation takes
 O(n^2 * |labels|) steps for n states (Liu and Smolka, "Simple linear-time
 algorithms for minimal fixed points", ICALP 1998).  Bisimilarity is an
-equivalence, so partition refinement computes it on classes of states
-(Kanellakis and Smolka, "CCS expressions, finite state processes, and
-three problems of equivalence", 1990).  The references of uncertain
-bisimilarity, by the definition, are in `lifting`.
+equivalence, so partition refinement computes it on classes of states:
+first in whole rounds that re-key every state at C speed (Moore,
+"Gedanken-experiments on sequential machines", 1956), while each round
+adds at least n/32 classes and at least two, then by a predecessor
+worklist (Kanellakis and Smolka, "CCS expressions, finite state
+processes, and three problems of equivalence", 1990); O(n^2 * |inputs|)
+steps at worst.  The references of uncertain bisimilarity, by the
+definition, are in `lifting`.
 
 The dead pairs are kept as rows, one Python int per state x whose bit y
 stands for the pair (x, y), and they propagate a row at a time: the bits
@@ -190,6 +194,12 @@ def _differing(keys: list) -> list[int]:
     return [0 if k is None else keyed ^ classes[k] for k in keys]
 
 
+def _live(states: Sequence[str], dead: list[int]) -> Relation:
+    """The relation on `states` of the pairs outside the rows `dead`."""
+    full = (1 << len(states)) - 1
+    return Relation.from_rows(states, states, map(full.__xor__, dead))
+
+
 def _mealy_dead(m: PartialMealyMachine) -> list[int]:
     """The rows of pairs outside uncertain bisimilarity.  Seeds are the
     pairs whose outputs differ on a common input."""
@@ -205,7 +215,17 @@ def uncertain_bisimilarity(m: PartialMealyMachine) -> Relation:
     """The greatest relation under which related states never conflict:
     whenever both have a transition on the same input, the outputs agree
     and the successors are related again."""
-    return Relation.from_rows(m.states, m.states, _mealy_dead(m)).complement()
+    return _live(m.states, _mealy_dead(m))
+
+
+def _equivalence(states: Sequence[str], cls: list[int], count: int) -> Relation:
+    """The equivalence on `states` whose class ids 0..count-1 are cls[x]
+    per state x (entries of `cls` past the states are ignored)."""
+    cls = cls[: len(states)]
+    rows = [0] * count
+    for x, c in enumerate(cls):
+        rows[c] |= 1 << x
+    return Relation.from_rows(states, states, map(rows.__getitem__, cls))
 
 
 def bisimilarity(m: PartialMealyMachine) -> Relation:
@@ -213,8 +233,16 @@ def bisimilarity(m: PartialMealyMachine) -> Relation:
     exactly the same inputs, with equal outputs and related successors.
 
     Partition refinement from the classes of equal outputs per input
-    (None where undefined).  A class keeps its id and its signature, its
-    members' successor class per input (-1 where undefined).  Each round
+    (None where undefined), in two phases.  First whole rounds (Moore):
+    each renumbers every state by its class and its successor classes per
+    input (-1 where undefined), with C-level `map` and `zip`.  A round
+    that splits no class, or leaves each state alone in its class, gives
+    the answer.  A round that adds fewer than n/32 classes, or only one,
+    as each round of a chain or a cycle does, ends the phase.  The others
+    add n/32 classes each, so at most 32 rounds pass, O(n * |inputs|)
+    steps in all.  Then a predecessor worklist (Kanellakis and Smolka): a
+    class keeps its id and its signature, its members' successor class
+    per input, at first that of its first member.  Each round
     re-examines the predecessors of the states that moved in the round
     before (every state in the first), and moves those off their class's
     signature to a new class per (class, signature); but when no member
@@ -225,10 +253,19 @@ def bisimilarity(m: PartialMealyMachine) -> Relation:
     succ, out = m.tables()
     ids: dict = {}
     cls = [ids.setdefault(key, len(ids)) for key in (zip(*out) if out else [()] * n)]
-    size = [*Counter(cls).values()]  # in id order: ids follow the keys' first appearance
-    sig: list = [None] * len(ids)
     cls.append(-1)  # cls[-1]: the class of an undefined successor
     get = cls.__getitem__
+    while True:  # whole rounds, renumbered in order of first appearance
+        count, ids = len(ids), {}
+        cls[:n] = [ids.setdefault(key, len(ids)) for key in zip(cls[:n], *[map(get, s) for s in succ])]
+        added = len(ids) - count
+        if not added:
+            return _equivalence(m.states, cls, count)
+        if len(ids) == n:
+            return Relation.identity(m.states)
+        if added < 2 or added * 32 < n:
+            break
+    size = [*Counter(cls[:n]).values()]  # in id order: ids follow the keys' first appearance
     pred: list[list[int]] = [[] for _ in range(n)]
     for s in succ:
         for x, d in enumerate(s):
@@ -236,7 +273,9 @@ def bisimilarity(m: PartialMealyMachine) -> Relation:
                 pred[d].append(x)
     cols = list(zip(*succ))
     todo = range(n)  # the first round re-examines every state
-    sigs = zip(*[map(get, s) for s in succ]) if succ else [()] * n
+    sigs = list(zip(*[map(get, s) for s in succ]))  # no inputs: the whole rounds answered
+    first = dict(zip(reversed(cls[:n]), reversed(sigs)))  # per class, its first member's signature
+    sig = [first[c] for c in range(len(ids))]
     while todo:
         parts: dict = {}  # per class, the re-examined members off its signature
         for x, s in zip(todo, sigs):
@@ -261,10 +300,7 @@ def bisimilarity(m: PartialMealyMachine) -> Relation:
                 moved += xs
         todo = {p for x in moved for p in pred[x]}
         sigs = [tuple(map(get, cols[x])) for x in todo]
-    rows = [0] * len(sig)
-    for x in range(n):
-        rows[cls[x]] |= 1 << x
-    return Relation.from_rows(m.states, m.states, map(rows.__getitem__, cls[:n]))
+    return _equivalence(m.states, cls, len(sig))
 
 
 def ioco_compatibility(a: SuspensionAutomaton) -> Relation:
@@ -273,7 +309,7 @@ def ioco_compatibility(a: SuspensionAutomaton) -> Relation:
     with related successors."""
     ins, outs = a.tables()
     dead = _dead_pairs(len(a.states), ins, [0] * len(a.states), outs)
-    return Relation.from_rows(a.states, a.states, dead).complement()
+    return _live(a.states, dead)
 
 
 def apartness_witness(m: PartialMealyMachine, x: str, y: str) -> Optional[ApartnessWitness]:

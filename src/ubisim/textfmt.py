@@ -201,7 +201,8 @@ _SECTION_KEYS = ("mealy", "total-mealy", "sa", "map", "rel")
 def parse(text: str) -> Document:
     """Parse a document; raises ParseError with a line number on any
     undeclared symbol or state, duplicate transition, blocking suspension
-    state, non-total map, or malformed line."""
+    state, non-total map, or malformed line.  Lines end at line feeds
+    alone, so a form feed or U+2028 in a comment stays in the comment."""
     sections: list[Section] = []
     names: set[str] = set()
     machines: dict[str, Union[PartialMealyMachine, SuspensionAutomaton]] = {}
@@ -215,7 +216,7 @@ def parse(text: str) -> Document:
             if isinstance(builder, _MachineBuilder):
                 machines[builder.name] = sections[-1]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         if "#" in raw:
             raw = raw[: raw.index("#")]
         toks = raw.split()

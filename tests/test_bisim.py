@@ -268,15 +268,27 @@ def full_round_classes(m):
         cls = new
 
 
+def glued(rng, n, k, inputs=3):
+    """A random machine of n states glued to a chain of k: the first whole
+    rounds split many classes, then each splits one class of the chain, so
+    the worklist finishes from the partition the whole rounds leave."""
+    part = random_partial_mealy(rng, n, inputs, 1, density=0.7, name="r")
+    return disjoint_union(part, mealy_chain(k, inputs))[0]
+
+
 def test_bisimilarity_matches_full_rounds_at_scale():
     # past the rounds oracle's reach: chains and cycles, which split one
-    # class per round, and random partial machines
+    # class per round, random partial machines, and random machines glued
+    # to chains
     rng = random.Random(1971)
+    machines = []
     for n in (400, 800):
-        for m in (mealy_chain(n), mealy_cycle(n), random_partial_mealy(rng, n, 3, 2, density=0.7)):
-            cls = full_round_classes(m)
-            pairs = {(x, y) for x in m.states for y in m.states if cls[x] == cls[y]}
-            assert bisimilarity(m).pairs == pairs, (m.name, n)
+        machines += [mealy_chain(n), mealy_cycle(n), random_partial_mealy(rng, n, 3, 2, density=0.7)]
+    machines += [glued(rng, n, k) for n, k in ((150, 50), (250, 120), (400, 200))]
+    for m in machines:
+        cls = full_round_classes(m)
+        pairs = {(x, y) for x in m.states for y in m.states if cls[x] == cls[y]}
+        assert bisimilarity(m).pairs == pairs, (m.name, len(m.states))
 
 
 def test_bisimilarity_is_an_equivalence_inside_uncertain_bisimilarity():
@@ -436,8 +448,10 @@ def test_engine_matches_rounds_on_mealy():
         random_partial_mealy(rng, n, rng.randint(1, 3), rng.randint(1, 3), density=density)
         for n, density in ((65, 0.1), (80, 0.3), (100, 0.5), (150, 0.7), (200, 0.9), (200, 0.4))
     ]
-    # chains and cycles split one class per refinement round
+    # chains and cycles split one class per refinement round; glued to a
+    # random machine, a chain is left to the worklist by the whole rounds
     chains = [mealy_chain(n, inputs) for n in (1, 2, 5, 50) for inputs in (1, 2)]
+    chains.append(glued(rng, 150, 50, inputs=2))
     machines = list(mealy_corpus(200)) + wide + chains + [
         mealy_cycle(1),
         mealy_cycle(2),

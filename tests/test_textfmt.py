@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 import re
 from dataclasses import replace
@@ -19,6 +21,7 @@ from ubisim import (
     render,
     uncertain_bisimilarity,
 )
+from ubisim.cli import main
 from ubisim.machines import SuspensionAutomaton
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.txt"))
@@ -306,6 +309,47 @@ def test_parse_file_ignores_a_byte_order_mark(tmp_path):
     path = tmp_path / "bom.txt"
     path.write_text("\ufeff" + text, encoding="utf-8")
     assert parse_file(path) == parse(text)
+
+
+# the characters besides "\n" and "\r" at which str.splitlines() ends a
+# line; the parser ends lines at "\n" alone, so in a comment they are text
+LINE_SEPARATORS = {"VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "GS": "\x1d", "RS": "\x1e",
+                   "NEL": "\x85", "LS": "\u2028", "PS": "\u2029"}
+
+
+def commented(text, sep):
+    """`text` with a comment after every line that holds `sep` between words."""
+    return "".join(f"{line} # a note{sep}trans s i o s{sep}\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize("name", sorted(LINE_SEPARATORS))
+def test_line_separator_in_a_comment_keeps_the_verdict(name, tmp_path):
+    path = tmp_path / "conflict_tree.txt"
+    path.write_text(commented((FIXTURES / "conflict_tree.txt").read_text(encoding="utf-8"), LINE_SEPARATORS[name]),
+                    encoding="utf-8")
+    assert parse_file(path) == fixture_doc("conflict_tree.txt")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", "uncertain", str(path), "m:p", "m:q"])
+    assert (code, out.getvalue()) == (0, "UNCERTAIN-BISIMILAR\n")
+
+
+@pytest.mark.parametrize("name", sorted(LINE_SEPARATORS))
+def test_line_separator_in_a_comment_keeps_later_line_numbers(name):
+    sep = LINE_SEPARATORS[name]
+    text = f"mealy m # first{sep}second{sep}third\ninputs i\noutputs o\nstates s\ntrans s i o t\n"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == "line 5: undeclared state 't'"
+
+
+@pytest.mark.parametrize("name", sorted(LINE_SEPARATORS))
+def test_lone_carriage_returns_end_lines_in_a_file(name, tmp_path):
+    # parse_file reads with universal newlines: "\r" and "\r\n" end lines too
+    text = commented(render(corpus_document(1)), LINE_SEPARATORS[name])
+    path = tmp_path / "cr.txt"
+    path.write_bytes(text.replace("\n", "\r").encode("utf-8"))
+    assert parse_file(path) == corpus_document(1)
 
 
 UNWRITABLE = ("", "t u", "s#1", "a\tb", "x\n", " s", "#")
