@@ -159,6 +159,12 @@ def _shrink_rounds(
         yield current
 
 
+# the last machine the oracle fell back on, and its fixpoint: machines are
+# unhashable, so the one entry is keyed by identity, and holding the
+# machine keeps its id from being reused
+_last_fixpoint: tuple = (None, frozenset())
+
+
 def semantic_oracle_uncertain(
     m: PartialMealyMachine, x: str, y: str, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> bool:
@@ -169,8 +175,10 @@ def semantic_oracle_uncertain(
     words on which both states have a run.  When the word count exceeds the
     budget, answers by the greatest fixpoint of the uncertain lifting
     instead, computed by rounds that drop the pairs the lifting refuses,
-    and logs that it did so.
+    and logs that it did so.  The fixpoint is computed once for a run of
+    calls on the same machine.
     """
+    global _last_fixpoint
     m.check_state(x)
     m.check_state(y)
     max_len = len(m.states) ** 2
@@ -197,7 +205,10 @@ def semantic_oracle_uncertain(
 
     logging.getLogger(__name__).info("oracle word budget exceeded (%d > %d); using the uncertain "
                                      "lifting's greatest fixpoint", total, budget)
-    *_, final = _shrink_rounds(m.states, _refuses(m))
+    last, final = _last_fixpoint
+    if last is not m:
+        *_, final = _shrink_rounds(m.states, _refuses(m))
+        _last_fixpoint = (m, final)
     return (x, y) in final
 
 

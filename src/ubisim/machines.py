@@ -28,7 +28,9 @@ machine's `input_index` does the same for `inputs`).  The pass that
 validates the transitions also fills the dense arrays over those
 positions that `tables()` returns, the same read-only lists on every call.
 The indexes and the tables are not dataclass fields: they take no part in
-`repr` or `==`, and `replace` builds them anew.
+`repr` or `==`, and `replace` builds them anew.  The one machine built
+without those checks is an observation tree's, from the tree's ranks,
+which guarantee what the checks test.
 """
 
 from __future__ import annotations
@@ -339,6 +341,29 @@ class PartialMealyMachine:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "input_index", inputs)
         object.__setattr__(self, "_tables", (succ, out))
+
+    @classmethod
+    def _tree(cls, inputs: tuple, outputs: tuple, states: tuple, ranked: Sequence[tuple[int, int, str]]):
+        """The machine "tree" of an observation tree's ranked edges: state r
+        is entered from ranked[r - 1] = (parent's position, input's
+        position, output), and `delta` follows that order.  Trusts what the
+        tree guarantees, so it skips `__post_init__`'s checks: distinct
+        states and symbols, known outputs, one edge per state and input,
+        and endpoints among the states."""
+        succ = [[-1] * len(states) for _ in inputs]
+        out: list[list[Optional[str]]] = [[None] * len(states) for _ in inputs]
+        delta = {}
+        for r, (q, k, o) in enumerate(ranked, 1):
+            succ[k][q], out[k][q] = r, o
+            delta[states[q], inputs[k]] = (o, states[r])
+        machine = object.__new__(cls)
+        # frozen: set the fields past __setattr__
+        vars(machine).update(
+            name="tree", inputs=inputs, outputs=outputs, states=states, delta=delta, total=False,
+            index=dict(zip(states, range(len(states)))), input_index=dict(zip(inputs, range(len(inputs)))),
+            _tables=(succ, out),
+        )
+        return machine
 
     def check_state(self, state: str) -> None:
         if state not in self.index:

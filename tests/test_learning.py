@@ -173,6 +173,22 @@ def test_unknown_output_symbol_is_refused():
         tree.record(("a",), ("z",))
 
 
+@pytest.mark.parametrize(
+    "word, outs, message",
+    [
+        (("k",), ("x",), "unknown input symbol 'k'"),
+        (("a", "k", "m"), ("x", "x", "x"), "unknown input symbol 'k'"),  # the first one
+        (("a",), ("z",), "unknown output symbol 'z'"),
+        (("a", "a", "a"), ("x", "z", "w"), "unknown output symbol 'z'"),
+        (("a", "k"), ("z", "x"), "unknown input symbol 'k'"),  # inputs before outputs
+    ],
+)
+def test_record_names_the_first_unknown_symbol(word, outs, message):
+    tree = ObservationTree.empty(("a",), ("x", "y"))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        tree.record(word, outs)
+
+
 def test_input_named_like_the_root_gets_a_primed_node():
     # the access word ("ε",) joins to the root's id; the root keeps it
     tree = ObservationTree.empty(("ε", "a"), ("x",)).record(("ε",), ("x",))
@@ -317,6 +333,25 @@ def _growing_trees(rng, inputs, size, density, target, outputs=("x", "y", "z")):
         words = tree.words()
 
 
+def _assert_tree_machine(tree):
+    """The tree's machine is the one the validating constructor builds from
+    the access words' names and the observations, and it is built once:
+    `as_machine()` and the lax morphism into the machine's totalization
+    read the same object."""
+    machine, names = tree.as_machine(), distinct_names(map(node_id, tree.words()))
+    name = dict(zip(tree.words(), names))
+    delta = {(name[w], i): (o, name[(*w, i)]) for (w, i), o in tree.edges.items()}
+    checked = PartialMealyMachine("tree", tree.inputs, tree.outputs, names, delta)
+    assert machine == checked
+    assert list(machine.delta.items()) == list(checked.delta.items())
+    assert machine.tables() == checked.tables()
+    assert (machine.index, machine.input_index) == (checked.index, checked.input_index)
+    assert tree.as_machine() is machine
+    morphism = find_lax_morphism_from_tree(tree, totalize(checked), names[0])
+    assert morphism.source is machine
+    assert morphism.mapping == dict(zip(names, names))
+
+
 @pytest.mark.parametrize("inputs", ALPHABETS)
 def test_ranks_and_names_match_their_definitions(inputs):
     # the ranked edges are the edges in a breadth-first walk, and each
@@ -329,6 +364,7 @@ def test_ranks_and_names_match_their_definitions(inputs):
         expected = [(rank[q], k, o) for q, k, o in (tree._into[p] for p in order[1:])]
         assert tree._ranked == expected
         assert tree._names == distinct_names(map(node_id, tree.words()))
+        _assert_tree_machine(tree)
 
 
 @settings(max_examples=20, deadline=None)
@@ -346,6 +382,7 @@ def test_frontier_matches_row_engine(seed, inputs, size, density, target):
     previous = set()
     for tree in _growing_trees(rng, inputs, size, density, target):
         frontier = tree_apartness_frontier(tree)
+        _assert_tree_machine(tree)
         machine = tree.as_machine()
         assert frontier.rows == tuple(_mealy_dead(machine))
         assert frontier.left == frontier.right == machine.states
@@ -380,6 +417,7 @@ def test_frontier_on_a_large_tree():
         tree = query_and_record(tree, teacher, word)
     assert len(tree._into) >= 1500
     assert tree_apartness_frontier(tree).rows == tuple(_mealy_dead(tree.as_machine()))
+    _assert_tree_machine(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -44,12 +45,25 @@ def violating(report):
 # state map validation
 
 
-def test_statemap_must_be_total():
-    T, T2, *_ = lax_chain()
-    with pytest.raises(ValidationError):
-        StateMap(T, T2, {"q0": "p0"})
-    with pytest.raises(ValidationError):
-        StateMap(T, T2, {"q0": "p0", "q1": "nope"})
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        # T' has states p0 p1 p2, B has r0 r1
+        ({"p1": "r1"}, "map is not total: missing 'p0'"),  # the first in source order
+        ({"p0": "r0", "p1": "r1", "p2": "r0", "zz": "r0"}, "map defined on unknown state 'zz'"),
+        ({"p0": "r0", "p1": "nope", "p2": "r0"}, "map sends 'p1' outside the target"),
+        ({"p0": "nope", "p1": "r1"}, "map is not total: missing 'p2'"),  # before p0's image
+        ({"p0": "r0", "p1": "nope", "zz": "r0", "p2": "r0"}, "map sends 'p1' outside the target"),
+        ({"p0": "r0", "zz": "nope", "p1": "r1", "p2": "r0"}, "map defined on unknown state 'zz'"),
+    ],
+    ids=["missing", "unknown", "outside", "missing-first", "outside-first", "unknown-first"],
+)
+def test_statemap_must_be_total(mapping, message):
+    # each message, and where a map has two faults, the one found first:
+    # a missing state before any pair, then the pairs in the map's order
+    _, T2, B, *_ = lax_chain()
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        StateMap(T2, B, mapping)
 
 
 def test_statemap_needs_shared_alphabets():
