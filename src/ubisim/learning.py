@@ -47,9 +47,8 @@ class ObservationTree:
     Trees are immutable: `record` returns a new tree.  Positions follow
     the order of recording, but `==` compares alphabets and observations
     (`edges`) only, so the same observations recorded in any order give
-    equal trees.  Ranks, names and the tree's machine (`as_machine`) are
-    each built once per tree, on first use; the machine is built from the
-    ranks, and its `delta` and tables are read-only.
+    equal trees.  Ranks and names are each built once per tree, on first
+    use; `as_machine` builds the tree's machine from the ranks.
     """
 
     inputs: tuple[str, ...]
@@ -83,10 +82,9 @@ class ObservationTree:
         labels = list(map(self._ipos.get, word))
         if None in labels:
             raise ValidationError(f"unknown input symbol {word[labels.index(None)]!r}")
-        if not self._opos.keys() >= set(outs):  # the loop names the first unknown one
-            for o in outs:
-                if o not in self._opos:
-                    raise ValidationError(f"unknown output symbol {o!r}")
+        for o in outs:
+            if o not in self._opos:
+                raise ValidationError(f"unknown output symbol {o!r}")
         node = 0
         for k, (i, o) in enumerate(zip(labels, outs)):
             child = self._children[node][i]
@@ -168,17 +166,13 @@ class ObservationTree:
             outs.append(self._into[node][2])
         return tuple(outs)
 
-    @cached_property
-    def _machine(self) -> PartialMealyMachine:
-        return PartialMealyMachine._tree(self.inputs, self.outputs, tuple(self._names), self._ranked)
-
     def as_machine(self) -> PartialMealyMachine:
         """The tree as a partial Mealy machine named "tree", whose states are
         the `_names` of the access words in `words()` order, so every
-        relation and morphism operation applies.  It is built once per
-        tree, in one pass over the ranked edges, and every call returns
-        that machine: its `delta` and `tables()` are read-only."""
-        return self._machine
+        relation and morphism operation applies.  It is built in one pass
+        over the ranked edges, without the constructor's per-transition
+        checks, which the tree guarantees."""
+        return PartialMealyMachine._tree(self.inputs, self.outputs, tuple(self._names), self._ranked)
 
     @property
     def root(self) -> str:
@@ -316,7 +310,7 @@ def find_lax_morphism_from_tree(
     The images are propagated as positions over the tree's breadth-first
     ranks, through the hypothesis's tables; states are named only in the
     final map, and access words are built only for a conflict.  The map's
-    source is `tree.as_machine()`, built once per tree.
+    source is `tree.as_machine()`.
     """
     from .morphisms import StateMap  # only here: `learn-demo` needs no morphisms
     hypothesis.check_state(root_target)

@@ -357,12 +357,11 @@ class PartialMealyMachine:
             succ[k][q], out[k][q] = r, o
             delta[states[q], inputs[k]] = (o, states[r])
         machine = object.__new__(cls)
-        # frozen: set the fields past __setattr__
-        vars(machine).update(
-            name="tree", inputs=inputs, outputs=outputs, states=states, delta=delta, total=False,
-            index=dict(zip(states, range(len(states)))), input_index=dict(zip(inputs, range(len(inputs)))),
-            _tables=(succ, out),
-        )
+        index, input_index = dict(zip(states, range(len(states)))), dict(zip(inputs, range(len(inputs))))
+        for field, value in (("name", "tree"), ("inputs", inputs), ("outputs", outputs), ("states", states),
+                             ("delta", delta), ("total", False), ("index", index), ("input_index", input_index),
+                             ("_tables", (succ, out))):
+            object.__setattr__(machine, field, value)  # frozen: past __setattr__, as in __post_init__
         return machine
 
     def check_state(self, state: str) -> None:
