@@ -11,13 +11,15 @@ clause, once the last of their common outputs leads to a dead pair).
 Every (pair, label) is reached once, so each relation takes
 O(n^2 * |labels|) steps for n states (Liu and Smolka, "Simple linear-time
 algorithms for minimal fixed points", ICALP 1998).  Bisimilarity is an
-equivalence, so partition refinement computes it on classes of states:
-first in whole rounds that re-key every state at C speed (Moore,
-"Gedanken-experiments on sequential machines", 1956), while each round
-adds at least n/32 classes and at least two, then by a predecessor
-worklist (Kanellakis and Smolka, "CCS expressions, finite state
-processes, and three problems of equivalence", 1990); O(n^2 * |inputs|)
-steps at worst.  The references of uncertain bisimilarity, by the
+equivalence, so partition refinement computes it on classes of states,
+in whole rounds that re-key every state at C speed (Moore,
+"Gedanken-experiments on sequential machines", 1956): at most n rounds
+of O(n * |inputs|) steps each, the same O(n^2 * |inputs|) bound.  A
+predecessor worklist (Kanellakis and Smolka, 1990) would re-examine only
+the states whose successors moved, which pays off only on chains and
+cycles, where each round splits one class; the machines this library
+serves split many classes a round, and the whole rounds alone are as
+fast on them.  The references of uncertain bisimilarity, by the
 definition, are in `lifting`.
 
 The dead pairs are kept as rows, one Python int per state x whose bit y
@@ -33,7 +35,7 @@ are what a `Relation` stores, so the engines hand theirs over as they are.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -232,22 +234,15 @@ def bisimilarity(m: PartialMealyMachine) -> Relation:
     """Ordinary bisimilarity: related states must have transitions on
     exactly the same inputs, with equal outputs and related successors.
 
-    Partition refinement from the classes of equal outputs per input
-    (None where undefined), in two phases.  First whole rounds (Moore):
-    each renumbers every state by its class and its successor classes per
-    input (-1 where undefined), with C-level `map` and `zip`.  A round
-    that splits no class, or leaves each state alone in its class, gives
-    the answer.  A round that adds fewer than n/32 classes, or only one,
-    as each round of a chain or a cycle does, ends the phase.  The others
-    add n/32 classes each, so at most 32 rounds pass, O(n * |inputs|)
-    steps in all.  Then a predecessor worklist (Kanellakis and Smolka): a
-    class keeps its id and its signature, its members' successor class
-    per input, at first that of its first member.  Each round
-    re-examines the predecessors of the states that moved in the round
-    before (every state in the first), and moves those off their class's
-    signature to a new class per (class, signature); but when no member
-    kept it, the largest group keeps the class and sets the signature.
-    At most n rounds, O(n^2 * |inputs|) steps at worst.
+    Partition refinement by whole rounds (Moore), from the classes of equal
+    outputs per input (None where undefined).  Each round renumbers every
+    state by its class and its successor classes per input (-1 where
+    undefined), with C-level `map` and `zip`.  A round that splits no
+    class gives the answer; one that leaves each state alone in its class
+    gives the identity.  Each other round adds a class, so at most n rounds
+    pass, each O(n * |inputs|): O(n^2 * |inputs|) steps.  There is no
+    predecessor worklist: only chains and cycles, which split one class
+    per round, would gain from one.
     """
     n = len(m.states)
     succ, out = m.tables()
@@ -255,52 +250,13 @@ def bisimilarity(m: PartialMealyMachine) -> Relation:
     cls = [ids.setdefault(key, len(ids)) for key in (zip(*out) if out else [()] * n)]
     cls.append(-1)  # cls[-1]: the class of an undefined successor
     get = cls.__getitem__
-    while True:  # whole rounds, renumbered in order of first appearance
+    while True:  # renumbered in order of first appearance
         count, ids = len(ids), {}
         cls[:n] = [ids.setdefault(key, len(ids)) for key in zip(cls[:n], *[map(get, s) for s in succ])]
-        added = len(ids) - count
-        if not added:
+        if len(ids) == count:
             return _equivalence(m.states, cls, count)
         if len(ids) == n:
             return Relation.identity(m.states)
-        if added < 2 or added * 32 < n:
-            break
-    size = [*Counter(cls[:n]).values()]  # in id order: ids follow the keys' first appearance
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for s in succ:
-        for x, d in enumerate(s):
-            if d >= 0:
-                pred[d].append(x)
-    cols = list(zip(*succ))
-    todo = range(n)  # the first round re-examines every state
-    sigs = list(zip(*[map(get, s) for s in succ]))  # no inputs: the whole rounds answered
-    first = dict(zip(reversed(cls[:n]), reversed(sigs)))  # per class, its first member's signature
-    sig = [first[c] for c in range(len(ids))]
-    while todo:
-        parts: dict = {}  # per class, the re-examined members off its signature
-        for x, s in zip(todo, sigs):
-            if s != sig[cls[x]]:
-                parts.setdefault(cls[x], {}).setdefault(s, []).append(x)
-        moved: list[int] = []
-        for c, groups in parts.items():
-            if sum(map(len, groups.values())) == size[c]:
-                # no member kept the signature: the largest group keeps the class, else
-                # a class whose members all move alike would be renamed forever
-                if len(groups) == 1:  # the common case, without the calls of max
-                    sig[c], = groups
-                    continue
-                sig[c] = max(groups, key=lambda s: len(groups[s]))
-                del groups[sig[c]]
-            for s, xs in groups.items():
-                size[c] -= len(xs)
-                for x in xs:
-                    cls[x] = len(sig)
-                sig.append(s)
-                size.append(len(xs))
-                moved += xs
-        todo = {p for x in moved for p in pred[x]}
-        sigs = [tuple(map(get, cols[x])) for x in todo]
-    return _equivalence(m.states, cls, len(sig))
 
 
 def ioco_compatibility(a: SuspensionAutomaton) -> Relation:

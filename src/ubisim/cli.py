@@ -44,11 +44,12 @@ def _split_address(addr: str) -> tuple[str, str]:
     return machine, state
 
 
-def _get_machine(doc: Document, name: str):
-    machines = doc.machines()
-    if name not in machines:
-        raise ValidationError(f"no machine named {name!r} in the file")
-    return machines[name]
+def _named(table: dict, name: str, kind: str):
+    """The entry `name` of one of a document's tables of machines, maps or
+    relations; `kind` names the table in the error."""
+    if name not in table:
+        raise ValidationError(f"no {kind} named {name!r} in the file")
+    return table[name]
 
 
 def _resolve_pair(doc: Document, addr1: str, addr2: str):
@@ -56,12 +57,13 @@ def _resolve_pair(doc: Document, addr1: str, addr2: str):
     forming the disjoint union when they live in different machines."""
     m1, s1 = _split_address(addr1)
     m2, s2 = _split_address(addr2)
-    left = _get_machine(doc, m1)
+    machines = doc.machines()
+    left = _named(machines, m1, "machine")
     if m1 == m2:
         left.check_state(s1)
         left.check_state(s2)
         return left, s1, s2
-    right = _get_machine(doc, m2)
+    right = _named(machines, m2, "machine")
     combined, (ren1, ren2) = disjoint_union(left, right)
     if s1 not in ren1:
         raise ValidationError(f"unknown state {s1!r} in machine {m1!r}")
@@ -109,7 +111,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_bisim(args) -> int:
     doc = parse_file(args.file)
-    machine = _get_machine(doc, args.machine)
+    machine = _named(doc.machines(), args.machine, "machine")
     if not isinstance(machine, PartialMealyMachine):
         raise ValidationError("bisim needs a mealy machine")
     rel = _cli.bisimilarity(machine)
@@ -121,7 +123,7 @@ def _cmd_bisim(args) -> int:
 
 def _cmd_ioco_compat(args) -> int:
     doc = parse_file(args.file)
-    machine = _get_machine(doc, args.machine)
+    machine = _named(doc.machines(), args.machine, "machine")
     if not isinstance(machine, SuspensionAutomaton):
         raise ValidationError("ioco-compat needs a suspension automaton")
     rel = _cli.ioco_compatibility(machine)
@@ -133,10 +135,7 @@ def _cmd_ioco_compat(args) -> int:
 
 def _cmd_morphism(args) -> int:
     doc = parse_file(args.file)
-    maps = doc.maps()
-    if args.map not in maps:
-        raise ValidationError(f"no map named {args.map!r} in the file")
-    report = _cli.check_morphism(maps[args.map].statemap, args.kind)
+    report = _cli.check_morphism(_named(doc.maps(), args.map, "map").statemap, args.kind)
     if report.ok:
         print("OK")
         return 0
@@ -177,10 +176,7 @@ def _cmd_join(args) -> int:
 
 def _cmd_restrict(args) -> int:
     doc = parse_file(args.file)
-    maps = doc.maps()
-    if args.map not in maps:
-        raise ValidationError(f"no map named {args.map!r} in the file")
-    statemap = maps[args.map].statemap
+    statemap = _named(doc.maps(), args.map, "map").statemap
     report = _cli.check_morphism(statemap, "oplax")
     if not report.ok:
         for v in report.violations:
@@ -192,10 +188,7 @@ def _cmd_restrict(args) -> int:
 
 def _cmd_simulate(args) -> int:
     doc = parse_file(args.file)
-    rels = doc.rels()
-    if args.rel not in rels:
-        raise ValidationError(f"no relation named {args.rel!r} in the file")
-    decl = rels[args.rel]
+    decl = _named(doc.rels(), args.rel, "relation")
     machines = doc.machines()
     src, dst = machines[decl.left_machine], machines[decl.right_machine]
     violation = _cli.simulation_violation(decl.relation, src, dst)
@@ -212,7 +205,7 @@ def _cmd_learn_demo(args) -> int:
     if not sep or not path or not name:
         raise ValidationError(f"expected <file>:<machine>, got {args.hidden!r}")
     doc = parse_file(path)
-    hidden = _get_machine(doc, name)
+    hidden = _named(doc.machines(), name, "machine")
     if not isinstance(hidden, PartialMealyMachine):
         raise ValidationError("learn-demo needs a mealy machine")
     teacher = _cli.Teacher(hidden, hidden.states[0])

@@ -219,9 +219,10 @@ COMPLETION_CARRIER_CAP = 4
 
 
 def all_mealy_successors(inputs, outputs, carrier) -> list[MealySuccessors]:
-    inputs, outputs, carrier = tuple(inputs), tuple(outputs), tuple(carrier)
-    choices = [None] + [(o, x) for o in outputs for x in carrier]
-    return [MealySuccessors(inputs, combo) for combo in itertools.product(choices, repeat=len(inputs))]
+    """Every Mealy successor structure: the completions of the one with no
+    known entry."""
+    inputs = tuple(inputs)
+    return list(completions(MealySuccessors(inputs, (None,) * len(inputs)), carrier, outputs))
 
 
 def all_sa_successors(inputs, outputs, carrier) -> list[SaSuccessors]:
@@ -241,12 +242,8 @@ def all_sa_successors(inputs, outputs, carrier) -> list[SaSuccessors]:
 
 
 def all_pow_successors(carrier) -> list[PowSuccessors]:
-    carrier = tuple(carrier)
-    return [
-        PowSuccessors(frozenset(sub))
-        for k in range(len(carrier) + 1)
-        for sub in itertools.combinations(carrier, k)
-    ]
+    """Every successor set: the completions of the empty one."""
+    return list(completions(PowSuccessors(frozenset()), carrier))
 
 
 def completions(t: Successors, carrier, outputs=None):
@@ -260,10 +257,8 @@ def completions(t: Successors, carrier, outputs=None):
     if isinstance(t, MealySuccessors):
         if outputs is None:
             raise ContractError("Mealy completions need the output alphabet")
-        per_input = [
-            [e] if e is not None else [None] + [(o, x) for o in outputs for x in carrier]
-            for e in t.entries
-        ]
+        choices = [None] + [(o, x) for o in outputs for x in carrier]
+        per_input = [[e] if e is not None else choices for e in t.entries]
         for combo in itertools.product(*per_input):
             yield MealySuccessors(t.inputs, combo)
         return

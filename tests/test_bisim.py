@@ -250,10 +250,10 @@ def test_bisimilarity_refines_uncertain():
 
 
 def full_round_classes(m):
-    """Bisimilarity's classes by whole rounds, with no worklist: first the
-    states' outputs per input (None where undefined), then each round
-    splits every class by its members' successor classes, until no class
-    splits."""
+    """Bisimilarity's classes by whole rounds, on names rather than
+    positions: first the states' outputs per input (None where undefined),
+    then each round splits every class by its members' successor classes,
+    until no class splits."""
 
     def number(keys):
         ids = {}
@@ -268,10 +268,22 @@ def full_round_classes(m):
         cls = new
 
 
+def propagated_pairs(m):
+    """Bisimilarity's pairs by the backward least-fixpoint engine, an
+    algorithm apart from refinement: seeded by the pairs whose outputs per
+    input (None where undefined) differ, a pair dies when an input leads
+    both its states to a dead pair."""
+    n = len(m.states)
+    succ, out = m.tables()
+    dead = ubisim.bisim._dead_pairs(n, succ, ubisim.bisim._differing(list(zip(*out)) or [()] * n))
+    return {(x, y) for a, x in enumerate(m.states) for b, y in enumerate(m.states) if not dead[a] >> b & 1}
+
+
 def glued(rng, n, k, inputs=3):
     """A random machine of n states glued to a chain of k: the first whole
     rounds split many classes, then each splits one class of the chain, so
-    the worklist finishes from the partition the whole rounds leave."""
+    the refinement runs on for about k rounds after the random part is
+    settled."""
     part = random_partial_mealy(rng, n, inputs, 1, density=0.7, name="r")
     return disjoint_union(part, mealy_chain(k, inputs))[0]
 
@@ -279,7 +291,8 @@ def glued(rng, n, k, inputs=3):
 def test_bisimilarity_matches_full_rounds_at_scale():
     # past the rounds oracle's reach: chains and cycles, which split one
     # class per round, random partial machines, and random machines glued
-    # to chains
+    # to chains; checked against refinement on names and against the
+    # propagation engine, which shares no code with the refinement
     rng = random.Random(1971)
     machines = []
     for n in (400, 800):
@@ -289,6 +302,7 @@ def test_bisimilarity_matches_full_rounds_at_scale():
         cls = full_round_classes(m)
         pairs = {(x, y) for x in m.states for y in m.states if cls[x] == cls[y]}
         assert bisimilarity(m).pairs == pairs, (m.name, len(m.states))
+        assert propagated_pairs(m) == pairs, (m.name, len(m.states))
 
 
 def test_bisimilarity_is_an_equivalence_inside_uncertain_bisimilarity():
@@ -449,7 +463,7 @@ def test_engine_matches_rounds_on_mealy():
         for n, density in ((65, 0.1), (80, 0.3), (100, 0.5), (150, 0.7), (200, 0.9), (200, 0.4))
     ]
     # chains and cycles split one class per refinement round; glued to a
-    # random machine, a chain is left to the worklist by the whole rounds
+    # random machine, a chain keeps refining after the random part settles
     chains = [mealy_chain(n, inputs) for n in (1, 2, 5, 50) for inputs in (1, 2)]
     chains.append(glued(rng, 150, 50, inputs=2))
     machines = list(mealy_corpus(200)) + wide + chains + [

@@ -91,6 +91,20 @@ def test_unknown_state_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bisim", "{lax_chain}", "zzz"], "no machine named 'zzz' in the file"),
+    (["witness", "{quadruple}", "p:p0", "zzz:r0"], "no machine named 'zzz' in the file"),
+    (["learn-demo", "--hidden", "{lax_chain}:zzz", "--queries", "i"], "no machine named 'zzz' in the file"),
+    (["morphism", "{lax_chain}", "zzz", "--kind", "lax"], "no map named 'zzz' in the file"),
+    (["restrict", "{lax_chain}", "zzz"], "no map named 'zzz' in the file"),
+    (["simulate", "{quadruple}", "zzz", "--style", "hj"], "no relation named 'zzz' in the file"),
+])
+def test_unknown_name_exit_code(capsys, argv, message):
+    code, out = run_cli([tok.format(**PATHS) for tok in argv])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cross_machine_addressing_forms_union():
     code, out = run_cli(["identify", PATHS["quadruple"], "q:q0", "p:p0"])
     assert code == 0

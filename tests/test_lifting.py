@@ -19,12 +19,14 @@ from ubisim import (
     in_uncertain_lifting_enumerated,
     inverse_image,
     map_structure,
+    order_leq,
     stability_check,
 )
 from ubisim.lifting import (
     all_mealy_successors,
     all_pow_successors,
     all_sa_successors,
+    completions,
 )
 
 
@@ -225,6 +227,26 @@ def test_uncertain_paths_agree_pow():
                 assert in_uncertain_lifting(rel, t, s) == in_uncertain_lifting_enumerated(
                     rel, t, s
                 )
+
+
+@pytest.mark.parametrize(
+    "kind,structs,outputs",
+    [
+        ("mealy", all_mealy_successors(("i", "j"), ("a", "b"), ("u", "v")), ("a", "b")),
+        ("sa", all_sa_successors(("i", "j"), ("a", "b"), ("u", "v")), None),
+        ("pow", all_pow_successors(("u", "v", "w")), None),
+    ],
+)
+def test_completions_are_the_structures_above(kind, structs, outputs):
+    # every structure once: (1 + |outputs| * |carrier|) ** |inputs| Mealy
+    # structures, 3 ** 2 input maps times 3 ** 2 - 1 non-empty output maps,
+    # 2 ** 3 subsets
+    assert len(structs) == len(set(structs)) == {"mealy": 25, "sa": 72, "pow": 8}[kind]
+    carrier = ("u", "v", "w") if kind == "pow" else ("u", "v")
+    for t in structs:
+        above = list(completions(t, carrier, outputs))
+        assert len(above) == len(set(above))
+        assert set(above) == {s for s in structs if order_leq(t, s)}, t
 
 
 def test_enumeration_cap():
