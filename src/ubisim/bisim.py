@@ -43,7 +43,7 @@ from operator import or_
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .machines import PartialMealyMachine, SuspensionAutomaton
+from .machines import PartialMealyMachine, SuspensionAutomaton, _tables_of
 from .relations import Relation, _bits
 
 
@@ -205,8 +205,8 @@ def _live(states: Sequence[str], dead: list[int]) -> Relation:
 def _mealy_dead(m: PartialMealyMachine) -> list[int]:
     """The rows of pairs outside uncertain bisimilarity.  Seeds are the
     pairs whose outputs differ on a common input."""
+    succ, out = _tables_of(m, PartialMealyMachine, "uncertain_bisimilarity")
     n = len(m.states)
-    succ, out = m.tables()
     seeds = [0] * n
     for rows in map(_differing, out):
         seeds = list(map(or_, seeds, rows))
@@ -244,8 +244,8 @@ def bisimilarity(m: PartialMealyMachine) -> Relation:
     predecessor worklist: only chains and cycles, which split one class
     per round, would gain from one.
     """
+    succ, out = _tables_of(m, PartialMealyMachine, "bisimilarity")
     n = len(m.states)
-    succ, out = m.tables()
     ids: dict = {}
     cls = [ids.setdefault(key, len(ids)) for key in (zip(*out) if out else [()] * n)]
     cls.append(-1)  # cls[-1]: the class of an undefined successor
@@ -263,7 +263,7 @@ def ioco_compatibility(a: SuspensionAutomaton) -> Relation:
     """The greatest relation on a suspension automaton under which related
     states agree on common-input futures and share at least one output
     with related successors."""
-    ins, outs = a.tables()
+    ins, outs = _tables_of(a, SuspensionAutomaton, "ioco_compatibility")
     dead = _dead_pairs(len(a.states), ins, [0] * len(a.states), outs)
     return _live(a.states, dead)
 
@@ -276,28 +276,29 @@ def apartness_witness(m: PartialMealyMachine, x: str, y: str) -> Optional[Apartn
     inputs on which both states move; ties between equally short words are
     broken by input declaration order.
     """
+    succ, out = _tables_of(m, PartialMealyMachine, "apartness_witness")
     m.check_state(x)
     m.check_state(y)
-    queue = deque([(x, y, ())])
-    seen = {(x, y)}
+    start = (m.index[x], m.index[y])
+    queue, seen = deque([(*start, ())]), {start}
     while queue:
         u, v, word = queue.popleft()
-        for i in m.inputs:
-            du, dv = m.delta.get((u, i)), m.delta.get((v, i))
-            if du is None or dv is None:
+        for i, step, says in zip(m.inputs, succ, out):
+            nxt = (step[u], step[v])
+            if nxt[0] < 0 or nxt[1] < 0:
                 continue
-            if du[0] != dv[0]:
-                return ApartnessWitness(word + (i,), du[0], dv[0])
-            nxt = (du[1], dv[1])
+            if says[u] != says[v]:
+                return ApartnessWitness(word + (i,), says[u], says[v])
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append((du[1], dv[1], word + (i,)))
+                queue.append((*nxt, word + (i,)))
     return None
 
 
 def relation_is_ioco_compatibility(a: SuspensionAutomaton, rel: Relation) -> bool:
     """Clause-by-clause check of the compatibility conditions for an
     arbitrary relation on a suspension automaton."""
+    _tables_of(a, SuspensionAutomaton, "relation_is_ioco_compatibility")
     if set(rel.left) - set(a.states) or set(rel.right) - set(a.states):
         raise ValidationError("relation carrier leaves the automaton's state set")
     for x, y in rel.ordered_pairs():

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 when the queried relation holds or the check passes, 1 when
-it is refuted (with a witness on stdout), 2 for usage or parse errors.
+it is refuted (with a witness on stdout), 2 for usage, read or parse
+errors, and for a machine of a kind the operation is not defined on.
 The first token of the first stdout line is a stable, machine-readable
 verdict.
 
-States are addressed as "<machine>:<state>"; when the two addresses name
-different machines of one file, the tool works on their disjoint union.
+States are addressed as "<machine>:<state>", where the machine is the
+longest prefix before a ":" that names a machine of the file; when the two
+addresses name different machines, the tool works on their disjoint union.
 
 Every subcommand parses a file, so the parsing layer (`errors`,
 `machines`, `textfmt`) is imported here.  The rest of the library loads
@@ -24,7 +26,7 @@ import sys
 import ubisim
 
 from .errors import UbisimError, ValidationError
-from .machines import PartialMealyMachine, SuspensionAutomaton, disjoint_union
+from .machines import disjoint_union
 from .textfmt import Document, parse_file, render
 
 _cli = sys.modules[__name__]
@@ -37,11 +39,15 @@ def __getattr__(name):
     return value
 
 
-def _split_address(addr: str) -> tuple[str, str]:
-    machine, sep, state = addr.partition(":")
-    if not sep or not machine or not state:
-        raise ValidationError(f"expected <machine>:<state>, got {addr!r}")
-    return machine, state
+def _read(path: str) -> Document:
+    """The document in the file at `path`; a file that cannot be read as
+    UTF-8 text raises ValidationError naming the path."""
+    try:
+        return parse_file(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"cannot read {path!r}: not UTF-8 text") from None
 
 
 def _named(table: dict, name: str, kind: str):
@@ -52,23 +58,28 @@ def _named(table: dict, name: str, kind: str):
     return table[name]
 
 
+def _address(machines: dict, addr: str):
+    """The machine and the state that "<machine>:<state>" names: the machine
+    is the longest prefix before a ":" that names one, else the text before
+    the first ":"; the state must be one of the machine's."""
+    named = [k for k, c in enumerate(addr) if c == ":" and addr[:k] in machines and addr[k + 1:]]
+    k = max(named, default=addr.find(":"))
+    machine, state = addr[:k], addr[k + 1:]
+    if k <= 0 or not state:
+        raise ValidationError(f"expected <machine>:<state>, got {addr!r}")
+    machine = _named(machines, machine, "machine")
+    machine.check_state(state)
+    return machine, state
+
+
 def _resolve_pair(doc: Document, addr1: str, addr2: str):
     """Resolve two state addresses to one machine and two of its states,
     forming the disjoint union when they live in different machines."""
-    m1, s1 = _split_address(addr1)
-    m2, s2 = _split_address(addr2)
     machines = doc.machines()
-    left = _named(machines, m1, "machine")
-    if m1 == m2:
-        left.check_state(s1)
-        left.check_state(s2)
+    (left, s1), (right, s2) = _address(machines, addr1), _address(machines, addr2)
+    if left is right:
         return left, s1, s2
-    right = _named(machines, m2, "machine")
     combined, (ren1, ren2) = disjoint_union(left, right)
-    if s1 not in ren1:
-        raise ValidationError(f"unknown state {s1!r} in machine {m1!r}")
-    if s2 not in ren2:
-        raise ValidationError(f"unknown state {s2!r} in machine {m2!r}")
     return combined, ren1[s1], ren2[s2]
 
 
@@ -84,36 +95,21 @@ def _witness_line(w: ubisim.ApartnessWitness) -> str:
 # subcommands
 
 
-def _cmd_check(args) -> int:
-    doc = parse_file(args.file)
-    machine, x, y = _resolve_pair(doc, args.state1, args.state2)
-    if not isinstance(machine, PartialMealyMachine):
-        raise ValidationError("uncertain check needs mealy machines")
-    if _cli.apartness_witness(machine, x, y) is None:
-        print("UNCERTAIN-BISIMILAR")
-        return 0
-    print("APART")
-    return 1
-
-
 def _cmd_witness(args) -> int:
-    doc = parse_file(args.file)
+    """`witness`, and `check uncertain`, which prints the verdict alone."""
+    doc = _read(args.file)
     machine, x, y = _resolve_pair(doc, args.state1, args.state2)
-    if not isinstance(machine, PartialMealyMachine):
-        raise ValidationError("witness needs mealy machines")
     w = _cli.apartness_witness(machine, x, y)
     if w is None:
         print("UNCERTAIN-BISIMILAR")
         return 0
-    print(_witness_line(w))
+    print("APART" if args.command == "check" else _witness_line(w))
     return 1
 
 
 def _cmd_bisim(args) -> int:
-    doc = parse_file(args.file)
+    doc = _read(args.file)
     machine = _named(doc.machines(), args.machine, "machine")
-    if not isinstance(machine, PartialMealyMachine):
-        raise ValidationError("bisim needs a mealy machine")
     rel = _cli.bisimilarity(machine)
     print(f"BISIMILARITY {machine.name} {len(rel)}")
     for x, y in rel.ordered_pairs():
@@ -122,10 +118,8 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_ioco_compat(args) -> int:
-    doc = parse_file(args.file)
+    doc = _read(args.file)
     machine = _named(doc.machines(), args.machine, "machine")
-    if not isinstance(machine, SuspensionAutomaton):
-        raise ValidationError("ioco-compat needs a suspension automaton")
     rel = _cli.ioco_compatibility(machine)
     print(f"IOCO-COMPATIBILITY {machine.name} {len(rel)}")
     for x, y in rel.ordered_pairs():
@@ -134,7 +128,7 @@ def _cmd_ioco_compat(args) -> int:
 
 
 def _cmd_morphism(args) -> int:
-    doc = parse_file(args.file)
+    doc = _read(args.file)
     report = _cli.check_morphism(_named(doc.maps(), args.map, "map").statemap, args.kind)
     if report.ok:
         print("OK")
@@ -145,10 +139,8 @@ def _cmd_morphism(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    doc = parse_file(args.file)
+    doc = _read(args.file)
     machine, x, y = _resolve_pair(doc, args.state1, args.state2)
-    if not isinstance(machine, PartialMealyMachine):
-        raise ValidationError("identify needs mealy machines")
     result = _cli.lax_identify(machine, x, y)
     if isinstance(result, _cli.Conflict):
         for step in result.merges:
@@ -161,7 +153,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_join(args) -> int:
-    doc = parse_file(args.file)
+    doc = _read(args.file)
     machine, x, y = _resolve_pair(doc, args.state1, args.state2)
     result = _cli.joint_simulator(machine, x, y)
     if isinstance(result, _cli.ApartnessWitness):
@@ -175,7 +167,7 @@ def _cmd_join(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
-    doc = parse_file(args.file)
+    doc = _read(args.file)
     statemap = _named(doc.maps(), args.map, "map").statemap
     report = _cli.check_morphism(statemap, "oplax")
     if not report.ok:
@@ -187,7 +179,7 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    doc = parse_file(args.file)
+    doc = _read(args.file)
     decl = _named(doc.rels(), args.rel, "relation")
     machines = doc.machines()
     src, dst = machines[decl.left_machine], machines[decl.right_machine]
@@ -204,10 +196,8 @@ def _cmd_learn_demo(args) -> int:
     path, sep, name = args.hidden.rpartition(":")
     if not sep or not path or not name:
         raise ValidationError(f"expected <file>:<machine>, got {args.hidden!r}")
-    doc = parse_file(path)
+    doc = _read(path)
     hidden = _named(doc.machines(), name, "machine")
-    if not isinstance(hidden, PartialMealyMachine):
-        raise ValidationError("learn-demo needs a mealy machine")
     teacher = _cli.Teacher(hidden, hidden.states[0])
     tree = _cli.ObservationTree.empty(hidden.inputs, hidden.outputs)
     for chunk in args.queries.split(","):
@@ -239,7 +229,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("state1", metavar="m:s1")
     p.add_argument("state2", metavar="m:s2")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("witness", help="minimal separating word for two states")
     p.add_argument("file")

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import ContractError, ObservationConflictError, ValidationError
-from .machines import PartialMealyMachine, _unique, distinct_names
+from .machines import PartialMealyMachine, _tables_of, _unique, distinct_names
 from .relations import Relation
 
 if TYPE_CHECKING:
@@ -198,6 +198,7 @@ class Teacher:
     """
 
     def __init__(self, hidden: PartialMealyMachine, initial: str):
+        self._tables = _tables_of(hidden, PartialMealyMachine, "Teacher")
         hidden.check_state(initial)
         self._hidden = hidden
         self._initial = initial
@@ -227,7 +228,7 @@ class Teacher:
         word = tuple(word)
         if not word:
             raise ContractError("output queries need a non-empty word")
-        (succ, out), at = self._hidden.tables(), self._hidden.input_index
+        (succ, out), at = self._tables, self._hidden.input_index
         x, outs = self._hidden.index[self._initial], []
         for i in word:
             k = at.get(i)
@@ -313,10 +314,10 @@ def find_lax_morphism_from_tree(
     source is `tree.as_machine()`.
     """
     from .morphisms import StateMap  # only here: `learn-demo` needs no morphisms
+    succ, out = _tables_of(hypothesis, PartialMealyMachine, "find_lax_morphism_from_tree")
     hypothesis.check_state(root_target)
     if set(tree.inputs) != set(hypothesis.inputs) or set(tree.outputs) != set(hypothesis.outputs):
         raise ContractError("tree and hypothesis must share alphabets")
-    succ, out = hypothesis.tables()
     at = [hypothesis.input_index[i] for i in tree.inputs]  # the hypothesis's position of each tree input
     images = [hypothesis.index[root_target]]
     for r, (q, k, o) in enumerate(tree._ranked, 1):  # parents first, shortest words first

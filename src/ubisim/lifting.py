@@ -27,6 +27,7 @@ from .machines import (
     Ref,
     SaSuccessors,
     Successors,
+    _tables_of,
     check_same_shape,
     eval_semantics,
     map_structure,
@@ -35,17 +36,16 @@ from .machines import (
 from .relations import Relation, inverse_image
 
 
-def _check_square(rel: Relation) -> None:
+def _check_args(rel: Relation, *pair: Successors) -> None:
+    """Refuse a relation that is not on a single carrier, and a pair of
+    structures of different shapes or with a successor outside it."""
     if not rel.is_square:
         raise ContractError("lifting membership needs a relation on a single carrier")
-
-
-def _check_refs(rel: Relation, *structs: Successors) -> None:
-    carrier = set(rel.left)
-    for t in structs:
-        for ref in t.refs():
-            if ref not in carrier:
-                raise ContractError(f"successor {ref!r} is outside the relation's carrier")
+    if pair:
+        check_same_shape(*pair)
+    for ref in itertools.chain.from_iterable(t.refs() for t in pair):
+        if ref not in rel.left:
+            raise ContractError(f"successor {ref!r} is outside the relation's carrier")
 
 
 def in_lifting(rel: Relation, t: Successors, s: Successors) -> bool:
@@ -56,9 +56,7 @@ def in_lifting(rel: Relation, t: Successors, s: Successors) -> bool:
     inputs and outputs, successors linked.  Powerset: every element of t
     has a partner in s and vice versa.
     """
-    _check_square(rel)
-    check_same_shape(t, s)
-    _check_refs(rel, t, s)
+    _check_args(rel, t, s)
     if isinstance(t, SaSuccessors) and not (t.has_output and s.has_output):
         return False  # a witness must itself have a non-empty output part
     if not isinstance(t, PowSuccessors):
@@ -82,9 +80,7 @@ def in_uncertain_lifting(rel: Relation, t: Successors, s: Successors) -> bool:
     completions may only remove outputs but never all of them.  Powerset:
     every element needs some partner anywhere in the carrier.
     """
-    _check_square(rel)
-    check_same_shape(t, s)
-    _check_refs(rel, t, s)
+    _check_args(rel, t, s)
     return _uncertain_linked(rel, rel.domain(), rel.codomain(), t, s)
 
 
@@ -179,6 +175,7 @@ def semantic_oracle_uncertain(
     calls on the same machine.
     """
     global _last_fixpoint
+    _tables_of(m, PartialMealyMachine, "semantic_oracle_uncertain")
     m.check_state(x)
     m.check_state(y)
     max_len = len(m.states) ** 2
@@ -285,9 +282,7 @@ def in_uncertain_lifting_enumerated(
     """Uncertain lifting membership by brute force: search for completions
     of both sides that land in the canonical lifting.  Independent of
     `in_uncertain_lifting`; capped at small carriers."""
-    _check_square(rel)
-    check_same_shape(t, s)
-    _check_refs(rel, t, s)
+    _check_args(rel, t, s)
     if len(rel.left) > COMPLETION_CARRIER_CAP:
         raise EnumerationLimitError(
             f"completion search is capped at carriers of size {COMPLETION_CARRIER_CAP}"
@@ -323,7 +318,7 @@ def stability_check(
     related after mapping through f but not before.  Returns a boolean, or
     with report=True the first violating pair (None when stable).
     """
-    _check_square(rel)
+    _check_args(rel)
     domain = tuple(f.keys())
     if len(domain) > STABILITY_CARRIER_CAP:
         raise EnumerationLimitError(

@@ -464,16 +464,26 @@ class PowersetSystem:
         return PowSuccessors(self.succ.get(state, frozenset()))
 
 
+def _tables_of(machine, kind: type, operation: str):
+    """`machine.tables()` for an operation defined on machines of `kind`
+    alone; any other machine raises ContractError naming the operation,
+    the kind it needs and the machine."""
+    if not isinstance(machine, kind):
+        got = f"{type(machine).__name__} {getattr(machine, 'name', None)!r}"
+        raise ContractError(f"{operation} needs a {kind.__name__}, got {got}")
+    return machine.tables()
+
+
 # ---------------------------------------------------------------------------
 # word semantics
 
 
-def _walk(machine: PartialMealyMachine, state: str, word: Sequence[str]) -> Optional[tuple]:
+def _walk(machine: PartialMealyMachine, state: str, word: Sequence[str], operation: str) -> Optional[tuple]:
     """The position `word` reaches from `state` and its last output (None
     for the empty word), or None at a missing transition; an unknown input
     raises when the walk reaches it."""
+    (succ, out), at = _tables_of(machine, PartialMealyMachine, operation), machine.input_index
     machine.check_state(state)
-    (succ, out), at = machine.tables(), machine.input_index
     x, o = machine.index[state], None
     for i in word:
         k = at.get(i)
@@ -488,7 +498,7 @@ def _walk(machine: PartialMealyMachine, state: str, word: Sequence[str]) -> Opti
 def run(machine: PartialMealyMachine, state: str, word: Sequence[str]) -> Optional[str]:
     """Follow `word` from `state`; the reached state, or None as soon as a
     transition is missing.  The empty word returns `state` itself."""
-    end = _walk(machine, state, word)
+    end = _walk(machine, state, word, "run")
     return None if end is None else machine.states[end[0]]
 
 
@@ -502,7 +512,7 @@ def eval_semantics(machine: PartialMealyMachine, state: str, word: Sequence[str]
     word = tuple(word)
     if not word:
         raise ContractError("eval_semantics requires a non-empty word")
-    end = _walk(machine, state, word)
+    end = _walk(machine, state, word, "eval_semantics")
     return None if end is None else end[1]
 
 

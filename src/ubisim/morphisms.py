@@ -17,6 +17,7 @@ from .errors import ContractError, ValidationError
 from .machines import (
     PartialMealyMachine,
     SuspensionAutomaton,
+    _tables_of,
     distinct_names,
     map_structure,
     order_failures,
@@ -205,10 +206,10 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
     the later class in declaration order gets primes appended until its
     name is new ("a+b'").
     """
+    succ, out = _tables_of(m, PartialMealyMachine, "lax_identify")
     m.check_state(x)
     m.check_state(y)
     states, inputs = m.states, m.inputs
-    succ, out = m.tables()
     parent = list(range(len(states)))
     # per class root and input, a member that moves on that input, or -1
     mover = [[s if row[s] >= 0 else -1 for row in succ] for s in range(len(states))]

@@ -1,6 +1,8 @@
 import io
 import contextlib
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -105,6 +107,68 @@ def test_unknown_name_exit_code(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "uncertain", "{sa_morphism}", "C:1", "D:1'"],
+     "apartness_witness needs a PartialMealyMachine, got SuspensionAutomaton 'C+D'"),
+    (["witness", "{sa_morphism}", "C:1", "C:2"],
+     "apartness_witness needs a PartialMealyMachine, got SuspensionAutomaton 'C'"),
+    (["bisim", "{sa_morphism}", "C"], "bisimilarity needs a PartialMealyMachine, got SuspensionAutomaton 'C'"),
+    (["ioco-compat", "{quadruple}", "p"], "ioco_compatibility needs a SuspensionAutomaton, got PartialMealyMachine 'p'"),
+    (["identify", "{sa_morphism}", "C:1", "D:1'"],
+     "lax_identify needs a PartialMealyMachine, got SuspensionAutomaton 'C+D'"),
+    (["learn-demo", "--hidden", "{sa_morphism}:C", "--queries", "a"],
+     "Teacher needs a PartialMealyMachine, got SuspensionAutomaton 'C'"),
+], ids=["check", "witness", "bisim", "ioco-compat", "identify", "learn-demo"])
+def test_wrong_machine_kind_exit_code(capsys, argv, message):
+    code, out = run_cli([tok.format(**PATHS) for tok in argv])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("file, argv, reason", [
+    ("missing", ["bisim", "{path}", "m"], os.strerror(errno.ENOENT)),
+    ("dir", ["bisim", "{path}", "m"], os.strerror(errno.EISDIR)),
+    ("latin1", ["bisim", "{path}", "m"], "not UTF-8 text"),
+    ("missing", ["learn-demo", "--hidden", "{path}:m", "--queries", "i"], os.strerror(errno.ENOENT)),
+], ids=["missing", "directory", "not-utf8", "learn-demo-missing"])
+def test_unreadable_file_exit_code(tmp_path, capsys, file, argv, reason):
+    path = {"missing": tmp_path / "missing.txt", "dir": tmp_path, "latin1": tmp_path / "latin1.txt"}[file]
+    if file == "latin1":
+        path.write_bytes("mealy m # caf\xe9\n".encode("latin-1"))
+    assert run_cli([tok.format(path=path) for tok in argv]) == (2, "")
+    assert capsys.readouterr().err == f"error: cannot read {str(path)!r}: {reason}\n"
+
+
+def test_unknown_state_before_the_union(tmp_path, capsys):
+    # the states are checked in their own machines, before the union
+    # refuses the differing alphabets
+    path = tmp_path / "two.txt"
+    path.write_text("mealy a\ninputs i\noutputs x\nstates s\n\nmealy b\ninputs j\noutputs x\nstates t\n")
+    for argv, message in [
+        (["join", PATHS["sa_morphism"], "C:nope", "D:1'"], "unknown state 'nope' in automaton 'C'"),
+        (["witness", str(path), "a:s", "b:nope"], "unknown state 'nope' in machine 'b'"),
+        (["witness", str(path), "a:nope", "b:t"], "unknown state 'nope' in machine 'a'"),
+        (["witness", str(path), "a:s", "b:t"], "disjoint union requires identical input alphabets"),
+    ]:
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_machine_names_holding_colons(tmp_path, capsys):
+    # "p:q:s0" names the state s0 of machine "p:q", the longest prefix that
+    # names a machine, and "p:x:y" the state "x:y" of machine "p"
+    path = tmp_path / "colons.txt"
+    path.write_text(
+        "mealy p\ninputs i\noutputs a b\nstates s0 x:y\ntrans s0 i a s0\ntrans x:y i b x:y\n\n"
+        "mealy p:q\ninputs i\noutputs a b\nstates s0 s1\ntrans s0 i a s0\ntrans s1 i b s1\n"
+    )
+    assert run_cli(["check", "uncertain", str(path), "p:q:s0", "p:q:s1"]) == (1, "APART\n")
+    assert run_cli(["witness", str(path), "p:s0", "p:q:s0"]) == (0, "UNCERTAIN-BISIMILAR\n")
+    assert run_cli(["witness", str(path), "p:x:y", "p:q:s0"]) == (1, "APART i b a\n")
+    assert run_cli(["witness", str(path), "r:q:s0", "p:s0"]) == (2, "")
+    assert capsys.readouterr().err == "error: no machine named 'r' in the file\n"
+
+
 def test_cross_machine_addressing_forms_union():
     code, out = run_cli(["identify", PATHS["quadruple"], "q:q0", "p:p0"])
     assert code == 0
@@ -151,11 +215,6 @@ def test_restrict_refuses_suspension_automata(tmp_path, capsys):
     code, out = run_cli(["restrict", str(path), "f"])
     assert code == 2 and out == ""
     assert "restricting" in capsys.readouterr().err
-
-
-def test_check_needs_mealy_machines():
-    code, _ = run_cli(["check", "uncertain", PATHS["sa_morphism"], "C:1", "D:1'"])
-    assert code == 2
 
 
 # The names bench/worker.py (CLI_CALLS) rebinds on `ubisim.cli` to trace

@@ -346,6 +346,16 @@ def test_stability_identity_map():
         )
 
 
+def test_stability_pow():
+    # x alone is related to y: {x} is linked to {} after mapping x to
+    # itself, but not before, where the pulled-back relation is empty
+    S = Relation.square(("x", "y"), {("x", "y")})
+    pow_x, pow_empty = PowSuccessors(frozenset("x")), PowSuccessors(frozenset())
+    assert stability_check({"x": "x"}, S, variant="pow", report=True) == (pow_x, pow_empty)
+    assert stability_check({"x": "x"}, S, variant="pow") is False
+    assert stability_check({"x": "x"}, S.reflexive_closure(), variant="pow")
+
+
 def test_stability_cap():
     S = Relation.identity(("x",))
     with pytest.raises(EnumerationLimitError):

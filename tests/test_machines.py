@@ -19,17 +19,28 @@ from helpers import (
 from ubisim import (
     ContractError,
     MealySuccessors,
+    ObservationTree,
     PartialMealyMachine,
     PowSuccessors,
     PowersetSystem,
+    Relation,
     SaSuccessors,
     StateMap,
     SuspensionAutomaton,
+    Teacher,
     ValidationError,
+    apartness_witness,
+    bisimilarity,
     disjoint_union,
     eval_semantics,
+    find_lax_morphism_from_tree,
+    ioco_compatibility,
+    lax_identify,
     order_leq,
+    relation_is_ioco_compatibility,
     run,
+    semantic_oracle_uncertain,
+    uncertain_bisimilarity,
 )
 from ubisim.lifting import all_mealy_successors, all_pow_successors, all_sa_successors
 from ubisim.machines import distinct_names
@@ -477,6 +488,13 @@ def test_union_names_never_collide():
     assert combined.delta == {("a.b.c", "i"): ("o", "a.b.c")}
 
 
+def test_union_of_total_machines_stays_total():
+    a = PartialMealyMachine("a", ("i",), ("o",), ("s",), {("s", "i"): ("o", "s")}, total=True)
+    b = PartialMealyMachine("b", ("i",), ("o",), ("t",), {("t", "i"): ("o", "t")}, total=True)
+    assert disjoint_union(a, b)[0].total
+    assert not disjoint_union(a, dataclasses.replace(b, total=False))[0].total
+
+
 def test_distinct_names_examples():
     assert distinct_names(["x", "y", "x", "x'"]) == ["x", "y", "x''", "x'"]
     assert distinct_names([]) == []
@@ -494,3 +512,41 @@ def test_distinct_names_properties(names):
         assert out[k] == n
     if len(set(names)) == len(names):
         assert out == names
+
+
+# ---------------------------------------------------------------------------
+# single-kind operations
+
+# each operation defined on one machine kind, called on a machine m with its
+# first state
+MEALY_ONLY = {
+    "uncertain_bisimilarity": lambda m: uncertain_bisimilarity(m),
+    "bisimilarity": lambda m: bisimilarity(m),
+    "apartness_witness": lambda m: apartness_witness(m, m.states[0], m.states[0]),
+    "lax_identify": lambda m: lax_identify(m, m.states[0], m.states[0]),
+    "Teacher": lambda m: Teacher(m, m.states[0]),
+    "run": lambda m: run(m, m.states[0], ()),
+    "eval_semantics": lambda m: eval_semantics(m, m.states[0], ("a",)),
+    "find_lax_morphism_from_tree": lambda m: find_lax_morphism_from_tree(ObservationTree((), ()), m, m.states[0]),
+    "semantic_oracle_uncertain": lambda m: semantic_oracle_uncertain(m, m.states[0], m.states[0]),
+}
+SA_ONLY = {
+    "ioco_compatibility": lambda m: ioco_compatibility(m),
+    "relation_is_ioco_compatibility": lambda m: relation_is_ioco_compatibility(m, Relation.identity(m.states)),
+}
+
+
+@pytest.mark.parametrize("operation, kind, call", [
+    *(pytest.param(op, PartialMealyMachine, call, id=op) for op, call in MEALY_ONLY.items()),
+    *(pytest.param(op, SuspensionAutomaton, call, id=op) for op, call in SA_ONLY.items()),
+])
+def test_single_kind_operations_refuse_other_kinds(operation, kind, call):
+    C, _, _ = sa_pair()
+    _, q, _, _, _ = quadruple()
+    system = PowersetSystem("w", ("a",), {"a": {"a"}})
+    for m in (C, q, system):
+        if isinstance(m, kind):
+            continue
+        message = f"{operation} needs a {kind.__name__}, got {type(m).__name__} {m.name!r}"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            call(m)

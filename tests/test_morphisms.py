@@ -25,6 +25,7 @@ from ubisim import (
     Relation,
     StateMap,
     ValidationError,
+    Violation,
     check_morphism,
     disjoint_union,
     inverse_image,
@@ -75,6 +76,17 @@ def test_statemap_needs_shared_alphabets():
 
 # ---------------------------------------------------------------------------
 # morphism checks on the pinned maps
+
+
+def test_unmatched_at_image_notes():
+    # a's i-transition has no counterpart at its image b, which has none
+    source = PartialMealyMachine("A", ("i",), ("o",), ("a",), {("a", "i"): ("o", "a")})
+    target = PartialMealyMachine("B", ("i",), ("o",), ("b",), {})
+    h = StateMap(source, target, {"a": "b"})
+    unmatched = (Violation("a", "in", "i", "not matched at image"),)
+    assert check_morphism(h, "lax").violations == unmatched
+    assert check_morphism(h, "strict").violations == unmatched
+    assert check_morphism(h, "oplax").ok
 
 
 def test_chain_g_lax_not_strict():

@@ -19,6 +19,7 @@ from ubisim import (
     Relation,
     SimulationWitness,
     SpanFailure,
+    SuspensionAutomaton,
     bisimilarity,
     check_simulation,
     disjoint_union,
@@ -111,6 +112,15 @@ def test_span_failure_reports_output_mismatch_first():
     )
     failure = synthesize_span_structure(union, rel)
     assert failure == SpanFailure(("p.p0", "r.r0"), "j", "output-mismatch")
+
+
+def test_span_failure_on_a_suspension_input():
+    # 1 and 2 share the output o into (1, 1), but their a-successors 3 and 4
+    # are not related
+    a = SuspensionAutomaton("A", ("a",), ("o",), ("1", "2", "3", "4"), {("1", "a"): "3", ("2", "a"): "4"},
+                            {("1", "o"): "1", ("2", "o"): "1", ("3", "o"): "3", ("4", "o"): "4"})
+    rel = Relation.identity(a.states).union(Relation.square(a.states, {("1", "2")}))
+    assert synthesize_span_structure(a, rel) == SpanFailure(("1", "2"), "a", "successor-missing")
 
 
 def test_span_needs_reflexivity():
@@ -259,6 +269,49 @@ def test_hj_to_openmap_identity_on_strict():
     joint = joint_simulator(m, "x", "x")
     om = hj_to_openmap(joint.left_witness, m, joint.machine)
     assert om.structure == dict(joint.left_witness.structure)
+
+
+def spans_of_u_into_w():
+    """A source state u and a target state w that both loop on i, a
+    relation holding (u, w) alone, and one span structure at (u, w) per
+    problem `witness_violations` can name (with the one-step behaviour the
+    loops give, where it checks out)."""
+    src = PartialMealyMachine("s", ("i", "j"), ("o",), ("u",), {("u", "i"): ("o", "u")})
+    dst = PartialMealyMachine("d", ("i", "j"), ("o",), ("w",), {("w", "i"): ("o", "w")})
+    rel = Relation(("u",), ("w",), {("u", "w")})
+    step = lambda entries: {("u", "w"): MealySuccessors.make(("i", "j"), entries)}  # noqa: E731
+    return src, dst, rel, {
+        "valid": step({"i": ("o", ("u", "w"))}),
+        "empty": step({}),
+        "outside": step({"i": ("o", ("u", "u"))}),
+        "extra": step({"i": ("o", ("u", "w")), "j": ("o", ("u", "w"))}),
+    }
+
+
+def test_witness_violations_name_each_problem():
+    src, dst, rel, spans = spans_of_u_into_w()
+
+    def problems(structure, style="hj"):
+        return witness_violations(SimulationWitness(rel, structure, style), src, dst)
+
+    assert problems(spans["valid"]) == problems(spans["valid"], "openmap") == []
+    assert problems(None) == ["witness carries no span structure"]
+    assert problems({}) == ["no structure for pair ('u', 'w')"]
+    assert problems(spans["outside"]) == [
+        "structure of ('u', 'w') leaves the relation at ('u', 'u')",
+        "right projection not lax at ('u', 'w')",
+    ]
+    assert problems(spans["empty"], "openmap") == ["left projection not strict at ('u', 'w')"]
+    assert problems(spans["empty"]) == ["left projection not oplax at ('u', 'w')"]
+    assert problems(spans["extra"]) == ["right projection not lax at ('u', 'w')"]
+
+
+def test_hj_to_openmap_refuses_other_witnesses():
+    src, dst, rel, spans = spans_of_u_into_w()
+    with pytest.raises(ContractError, match="^conversion starts from a hughes-jacobs witness$"):
+        hj_to_openmap(SimulationWitness(rel, spans["valid"], "openmap"), src, dst)
+    with pytest.raises(ContractError, match=r"^witness does not validate: left projection not oplax at \('u', 'w'\)$"):
+        hj_to_openmap(SimulationWitness(rel, spans["empty"], "hj"), src, dst)
 
 
 def test_hj_to_openmap_refuses_sa():
