@@ -43,7 +43,7 @@ from operator import or_
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .machines import PartialMealyMachine, SuspensionAutomaton, _tables_of
+from .machines import PartialMealyMachine, SuspensionAutomaton, _check_carriers, _tables_of
 from .relations import Relation, _bits
 
 
@@ -240,9 +240,7 @@ def bisimilarity(m: PartialMealyMachine) -> Relation:
     undefined), with C-level `map` and `zip`.  A round that splits no
     class gives the answer; one that leaves each state alone in its class
     gives the identity.  Each other round adds a class, so at most n rounds
-    pass, each O(n * |inputs|): O(n^2 * |inputs|) steps.  There is no
-    predecessor worklist: only chains and cycles, which split one class
-    per round, would gain from one.
+    pass, each O(n * |inputs|): O(n^2 * |inputs|) steps.
     """
     succ, out = _tables_of(m, PartialMealyMachine, "bisimilarity")
     n = len(m.states)
@@ -299,8 +297,7 @@ def relation_is_ioco_compatibility(a: SuspensionAutomaton, rel: Relation) -> boo
     """Clause-by-clause check of the compatibility conditions for an
     arbitrary relation on a suspension automaton."""
     _tables_of(a, SuspensionAutomaton, "relation_is_ioco_compatibility")
-    if set(rel.left) - set(a.states) or set(rel.right) - set(a.states):
-        raise ValidationError("relation carrier leaves the automaton's state set")
+    _check_carriers(rel, a, a, "relation_is_ioco_compatibility")
     for x, y in rel.ordered_pairs():
         for i in a.inputs:
             dx, dy = a.din.get((x, i)), a.din.get((y, i))

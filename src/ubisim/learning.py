@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import ContractError, ObservationConflictError, ValidationError
-from .machines import PartialMealyMachine, _tables_of, _unique, distinct_names
+from .machines import PartialMealyMachine, _shared_alphabets, _tables_of, _unique, distinct_names
 from .relations import Relation
 
 if TYPE_CHECKING:
@@ -174,10 +174,6 @@ class ObservationTree:
         checks, which the tree guarantees."""
         return PartialMealyMachine._tree(self.inputs, self.outputs, tuple(self._names), self._ranked)
 
-    @property
-    def root(self) -> str:
-        return ROOT_ID
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationTree):
             return NotImplemented
@@ -316,8 +312,7 @@ def find_lax_morphism_from_tree(
     from .morphisms import StateMap  # only here: `learn-demo` needs no morphisms
     succ, out = _tables_of(hypothesis, PartialMealyMachine, "find_lax_morphism_from_tree")
     hypothesis.check_state(root_target)
-    if set(tree.inputs) != set(hypothesis.inputs) or set(tree.outputs) != set(hypothesis.outputs):
-        raise ContractError("tree and hypothesis must share alphabets")
+    _shared_alphabets(tree, hypothesis, "find_lax_morphism_from_tree")
     at = [hypothesis.input_index[i] for i in tree.inputs]  # the hypothesis's position of each tree input
     images = [hypothesis.index[root_target]]
     for r, (q, k, o) in enumerate(tree._ranked, 1):  # parents first, shortest words first

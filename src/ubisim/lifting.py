@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, EnumerationLimitError, ValidationError
 from .machines import (
@@ -27,6 +27,7 @@ from .machines import (
     Ref,
     SaSuccessors,
     Successors,
+    _check_carriers,
     _tables_of,
     check_same_shape,
     eval_semantics,
@@ -133,8 +134,7 @@ def relation_is_uncertain_bisimulation(m: PartialMealyMachine, rel: Relation) ->
     """Check an arbitrary relation (not necessarily the greatest one): every
     related pair's one-step behaviours must be related by the uncertain
     lifting of the relation itself."""
-    if set(rel.left) - set(m.states) or set(rel.right) - set(m.states):
-        raise ValidationError("relation carrier leaves the machine's state set")
+    _check_carriers(rel, m, m, "relation_is_uncertain_bisimulation")
     pairs, refuses = rel.pairs, _refuses(m)
     return not any(refuses(x, y, pairs) for x, y in pairs)
 
@@ -340,16 +340,9 @@ def stability_check(
         raise ValidationError(f"unknown variant {variant!r}")
 
     pulled = inverse_image(f, rel)
-    violation: Optional[tuple[Successors, Successors]] = None
-    for t in structs:
-        for s in structs:
-            before = in_uncertain_lifting(pulled, t, s)
-            after = in_uncertain_lifting(rel, map_structure(t, f), map_structure(s, f))
-            if before != after:
-                violation = (t, s)
-                break
-        if violation:
-            break
-    if report:
-        return violation
-    return violation is None
+    violation = next(
+        ((t, s) for t in structs for s in structs
+         if in_uncertain_lifting(pulled, t, s) != in_uncertain_lifting(rel, map_structure(t, f), map_structure(s, f))),
+        None,
+    )
+    return violation if report else violation is None

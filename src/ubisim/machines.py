@@ -368,12 +368,6 @@ class PartialMealyMachine:
         if state not in self.index:
             raise ValidationError(f"unknown state {state!r} in machine {self.name!r}")
 
-    def transition(self, state: str, i: str) -> Optional[tuple[str, str]]:
-        self.check_state(state)
-        if i not in self.inputs:
-            raise ValidationError(f"unknown input symbol {i!r}")
-        return self.delta.get((state, i))
-
     def successors(self, state: str) -> MealySuccessors:
         self.check_state(state)
         return MealySuccessors(
@@ -464,14 +458,46 @@ class PowersetSystem:
         return PowSuccessors(self.succ.get(state, frozenset()))
 
 
-def _tables_of(machine, kind: type, operation: str):
-    """`machine.tables()` for an operation defined on machines of `kind`
-    alone; any other machine raises ContractError naming the operation,
-    the kind it needs and the machine."""
+_MEALY_OR_SA = (PartialMealyMachine, SuspensionAutomaton)
+
+
+def _named(machine) -> str:
+    name = getattr(machine, "name", None)  # an observation tree has none
+    return type(machine).__name__ + ("" if name is None else f" {name!r}")
+
+
+def _tables_of(machine, kind, operation: str):
+    """`machine.tables()` for an operation defined on machines of `kind` (a
+    class, or a tuple of classes) alone; any other machine raises
+    ContractError naming the operation, the kind it needs and the machine."""
     if not isinstance(machine, kind):
-        got = f"{type(machine).__name__} {getattr(machine, 'name', None)!r}"
-        raise ContractError(f"{operation} needs a {kind.__name__}, got {got}")
+        need = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ContractError(f"{operation} needs a {need}, got {_named(machine)}")
     return machine.tables()
+
+
+def _same_shape(first, second, operation: str) -> None:
+    """Refuse powerset systems, two machines of different kinds, and
+    alphabets that differ as sets (`_shared_alphabets`)."""
+    _tables_of(first, _MEALY_OR_SA, operation)
+    if type(second) is not type(first):
+        raise ContractError(f"{operation} needs two machines of one kind, got {_named(first)} and {_named(second)}")
+    _shared_alphabets(first, second, operation)
+
+
+def _shared_alphabets(first, second, operation: str) -> None:
+    """Refuse input or output alphabets that differ as sets."""
+    for what in ("input", "output"):
+        if set(getattr(first, what + "s")) != set(getattr(second, what + "s")):
+            raise ContractError(f"{operation} needs shared {what} alphabets, got {_named(first)} and {_named(second)}")
+
+
+def _check_carriers(rel, src, dst, operation: str) -> None:
+    """Refuse a relation whose left carrier leaves `src`'s states, or right carrier `dst`'s."""
+    for side, carrier, m in (("left", rel.left, src), ("right", rel.right, dst)):
+        for stray in (s for s in carrier if s not in m.index):  # the first one
+            raise ValidationError(f"{operation} needs the relation's {side} carrier within the states "
+                                  f"of {_named(m)}, got {stray!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .errors import ContractError, ValidationError
 from .machines import (
     PartialMealyMachine,
     SuspensionAutomaton,
+    _same_shape,
     _tables_of,
     distinct_names,
     map_structure,
@@ -41,12 +42,7 @@ class StateMap:
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", dict(self.mapping))
-        if type(self.source) is not type(self.target):
-            raise ContractError("state maps require machines of the same kind")
-        if set(self.source.inputs) != set(self.target.inputs) or set(
-            self.source.outputs
-        ) != set(self.target.outputs):
-            raise ContractError("state maps require shared alphabets")
+        _same_shape(self.source, self.target, "StateMap")
         mapping, target = self.mapping, self.target.index
         if mapping.keys() == self.source.index.keys() and target.keys() >= set(mapping.values()):
             return

@@ -24,12 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .errors import ContractError, ValidationError
+from .errors import ContractError
 from .machines import (
     MealySuccessors,
     PartialMealyMachine,
     SaSuccessors,
     SuspensionAutomaton,
+    _MEALY_OR_SA,
+    _check_carriers,
+    _same_shape,
+    _tables_of,
     assemble,
     distinct_names,
     map_structure,
@@ -49,25 +53,13 @@ def _style(style: str) -> str:
     return style
 
 
-def pair_state(u: str, v: str) -> str:
-    return f"({u}|{v})"
-
-
-def _check_rel(rel: Relation, src: Machine, dst: Machine) -> None:
-    if type(src) is not type(dst):
-        raise ContractError("simulation requires machines of the same kind")
-    if set(src.inputs) != set(dst.inputs) or set(src.outputs) != set(dst.outputs):
-        raise ContractError("simulation requires shared alphabets")
-    if set(rel.left) - set(src.states) or set(rel.right) - set(dst.states):
-        raise ValidationError("relation carrier leaves the machines' state sets")
-
-
 def simulation_violation(
     rel: Relation, src: Machine, dst: Machine
 ) -> Optional[tuple[str, str, str]]:
     """The first pair and symbol breaking the simulation conditions, or
     None when the relation is a simulation."""
-    _check_rel(rel, src, dst)
+    _same_shape(src, dst, "simulation_violation")
+    _check_carriers(rel, src, dst, "simulation_violation")
     linked = lambda a, b: (a, b) in rel  # noqa: E731
     left = {x: src.successors(x) for x in rel.domain()}
     right = {z: dst.successors(z) for z in rel.codomain()}
@@ -112,7 +104,8 @@ class SimulationWitness:
 def witness_violations(w: SimulationWitness, src: Machine, dst: Machine) -> list[str]:
     """Validate a span witness against its declared style.  Returns a list
     of human-readable problems, empty when the witness checks out."""
-    _check_rel(w.relation, src, dst)
+    _same_shape(src, dst, "witness_violations")
+    _check_carriers(w.relation, src, dst, "witness_violations")
     if w.structure is None:
         return ["witness carries no span structure"]
     problems = []
@@ -188,10 +181,10 @@ def synthesize_span_structure(machine: Machine, rel: Relation):
     oplax, or the first SpanFailure: output mismatches are reported before
     missing successor pairs.
     """
+    _tables_of(machine, _MEALY_OR_SA, "synthesize_span_structure")
     if not rel.is_reflexive():
         raise ContractError("span synthesis needs a reflexive relation")
-    if set(rel.left) - set(machine.states):
-        raise ValidationError("relation carrier leaves the machine's state set")
+    _check_carriers(rel, machine, machine, "synthesize_span_structure")
 
     related = lambda a, b: (a, b) in rel  # noqa: E731
     first: dict[str, SpanFailure] = {}
@@ -284,6 +277,7 @@ def joint_simulator(m: Machine, x: str, y: str):
     ("(a|b|c)'"); the start pair keeps its plain name.
     """
     from .bisim import apartness_witness, ioco_compatibility  # only here: `simulate` needs no bisim
+    _tables_of(m, _MEALY_OR_SA, "joint_simulator")
     m.check_state(x)
     m.check_state(y)
     if isinstance(m, PartialMealyMachine):
@@ -304,7 +298,7 @@ def joint_simulator(m: Machine, x: str, y: str):
         if pair not in structs:
             structs[pair] = _joint(m, *pair, related)[0]
             queue.extend(structs[pair].refs())
-    names = dict(zip(structs, distinct_names(pair_state(*p) for p in structs)))
+    names = dict(zip(structs, distinct_names(f"({u}|{v})" for u, v in structs)))
     join = assemble(m, "join", [(names[p], map_structure(t, names)) for p, t in structs.items()])
 
     def witness(k: int) -> SimulationWitness:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .errors import ParseError, UbisimError, ValidationError
-from .machines import PartialMealyMachine, SuspensionAutomaton
+from .machines import PartialMealyMachine, SuspensionAutomaton, _MEALY_OR_SA, _tables_of
 from .relations import Relation
 
 if TYPE_CHECKING:
@@ -113,11 +113,8 @@ class _MachineBuilder:
                 raise ParseError("trans needs <src> <in> <out> <dst>", line)
             for tok, what in zip(args, ("state", "input", "output", "state")):
                 self._check(tok, what, what + "s", line)
-            src, i, o, dst = args
-            if (src, i) in self.delta:
-                raise ParseError(f"duplicate transition for ({src}, {i})", line)
-            self.delta[(src, i)] = (o, dst)
-            return
+            # `parse` stores every valid line itself: what is left is a repeat
+            raise ParseError(f"duplicate transition for ({args[0]}, {args[1]})", line)
         if key in ("itrans", "otrans"):
             if self.kind != "sa":
                 raise ParseError(f"{key} line outside an sa section", line)
@@ -277,6 +274,7 @@ def _writable(what: str, names) -> None:
 
 
 def _render_machine(m: Union[PartialMealyMachine, SuspensionAutomaton]) -> list[str]:
+    _tables_of(m, _MEALY_OR_SA, "render")
     _writable("section name", (m.name,))
     _writable("input symbol", m.inputs)
     _writable("output symbol", m.outputs)
@@ -312,10 +310,11 @@ def _render_machine(m: Union[PartialMealyMachine, SuspensionAutomaton]) -> list[
 def render(doc: Document) -> str:
     """Canonical text for a document: transitions and pairs emitted in
     declaration order, one blank line between sections.  Raises
+    ContractError on a section that is a machine of another kind, and
     ValidationError on a name that is empty or holds whitespace or '#'."""
     chunks = []
     for section in doc.sections:
-        if isinstance(section, (PartialMealyMachine, SuspensionAutomaton)):
+        if not isinstance(section, (MapDecl, RelDecl)):
             chunks.append(_render_machine(section))
             continue
         _writable("section name", (section.name,))

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import ubisim.bisim
 from helpers import (
     conflict_machine,
@@ -17,9 +19,11 @@ from helpers import (
     words_up_to,
 )
 from ubisim import (
+    ApartnessWitness,
     PartialMealyMachine,
     Relation,
     SuspensionAutomaton,
+    ValidationError,
     apartness_witness,
     bisimilarity,
     disjoint_union,
@@ -138,6 +142,10 @@ def test_witness_examples():
     w = apartness_witness(m, "x", "z")
     assert (w.word, w.left_output, w.right_output) == (("i",), "a", "b")
     assert apartness_witness(m, "p", "p") is None
+    with pytest.raises(ValidationError, match="^an apartness witness needs a non-empty word$"):
+        ApartnessWitness((), "a", "b")
+    with pytest.raises(ValidationError, match="^an apartness witness needs differing outputs$"):
+        ApartnessWitness(("i",), "a", "a")
 
 
 def test_witness_agrees_with_relation():

@@ -108,6 +108,18 @@ def test_unknown_name_exit_code(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["witness", "{quadruple}", "p0", "r:r0"], "expected <machine>:<state>, got 'p0'"),
+    (["learn-demo", "--hidden", "{lax_chain}", "--queries", "i"],
+     "expected <file>:<machine>, got '{lax_chain}'"),
+    (["learn-demo", "--hidden", "{lax_chain}:T", "--queries", ","], "queries must be non-empty words"),
+], ids=["address", "hidden", "empty-query"])
+def test_malformed_argument_exit_code(capsys, argv, message):
+    code, out = run_cli([tok.format(**PATHS) for tok in argv])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message.format(**PATHS)}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
     (["check", "uncertain", "{sa_morphism}", "C:1", "D:1'"],
      "apartness_witness needs a PartialMealyMachine, got SuspensionAutomaton 'C+D'"),
     (["witness", "{sa_morphism}", "C:1", "C:2"],

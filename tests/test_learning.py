@@ -479,6 +479,10 @@ def test_conflict_on_wrong_output():
     hyp = PartialMealyMachine("h", ("i",), ("a", "b"), ("u",), {("u", "i"): ("b", "u")})
     result = find_lax_morphism_from_tree(tree, hyp, "u")
     assert result == TreeConflict(("i",))
+    message = ("find_lax_morphism_from_tree needs shared output alphabets, got ObservationTree and "
+               "PartialMealyMachine 'h'")
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        find_lax_morphism_from_tree(ObservationTree.empty(("i",), ("a",)), hyp, "u")
 
 
 def test_conflict_against_forced_merge_machine():

@@ -14,6 +14,7 @@ from ubisim import (
     MealySuccessors,
     PowSuccessors,
     Relation,
+    ValidationError,
     in_lifting,
     in_uncertain_lifting,
     in_uncertain_lifting_enumerated,
@@ -154,6 +155,12 @@ def test_contract_violations():
         in_lifting(square, undef(), PowSuccessors(frozenset()))
     with pytest.raises(ContractError):
         in_lifting(square, single("zzz"), undef())
+    with pytest.raises(ContractError, match="^Mealy completions need the output alphabet$"):
+        next(completions(undef(), ("a",)))
+    with pytest.raises(ContractError, match="^unsupported structure kind Relation$"):
+        next(completions(square, ("a",)))
+    with pytest.raises(ValidationError, match="^unknown variant 'weird'$"):
+        stability_check({"a": "a"}, square, variant="weird")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from helpers import (
 )
 from ubisim import (
     ContractError,
+    Document,
     MealySuccessors,
     ObservationTree,
     PartialMealyMachine,
@@ -25,25 +26,38 @@ from ubisim import (
     PowersetSystem,
     Relation,
     SaSuccessors,
+    SimulationWitness,
     StateMap,
     SuspensionAutomaton,
     Teacher,
+    UbisimError,
     ValidationError,
     apartness_witness,
     bisimilarity,
+    check_morphism,
+    check_simulation,
     disjoint_union,
     eval_semantics,
     find_lax_morphism_from_tree,
+    hj_to_openmap,
     ioco_compatibility,
+    joint_simulator,
+    kernel,
     lax_identify,
     order_leq,
     relation_is_ioco_compatibility,
+    relation_is_uncertain_bisimulation,
+    render,
+    restrict_along,
     run,
     semantic_oracle_uncertain,
+    simulation_violation,
+    synthesize_span_structure,
     uncertain_bisimilarity,
+    witness_violations,
 )
 from ubisim.lifting import all_mealy_successors, all_pow_successors, all_sa_successors
-from ubisim.machines import distinct_names
+from ubisim.machines import assemble, distinct_names, order_failures
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +118,26 @@ def test_sa_validation():
 def test_sa_non_blocking():
     with refused("blocking state 't': no output transition"):
         SuspensionAutomaton("a", ("i",), ("o",), ("s", "t"), {}, {("s", "o"): "t"})
+
+
+def test_successor_structure_validation():
+    with refused("entries must align with the input alphabet"):
+        MealySuccessors(("i",), ())
+    with refused("entries must align with the alphabets"):
+        SaSuccessors(("i",), ("o",), (None,), ())
+    with refused("unknown input symbol 'j'"):
+        MealySuccessors.make(("i",), {"j": ("o", "s")})
+    with refused("unknown input symbol 'j'"):
+        SaSuccessors.make(("i",), ("o",), {"j": "s"}, {})
+    with refused("unknown output symbol 'p'"):
+        SaSuccessors.make(("i",), ("o",), {}, {"p": "s"})
+    with refused("unknown input symbol 'j'"):
+        MealySuccessors.make(("i",), {}).entry("j")
+    sa = SaSuccessors.make(("i",), ("o",), {}, {"o": "s"})
+    with refused("unknown input symbol 'j'"):
+        sa.input_entry("j")
+    with refused("unknown output symbol 'p'"):
+        sa.output_entry("p")
 
 
 def test_powerset_validation():
@@ -377,6 +411,10 @@ def test_order_contract_violations():
         order_leq(MealySuccessors.make(("i",), {}), PowSuccessors(frozenset()))
     with pytest.raises(ContractError):
         order_leq(MealySuccessors.make(("i",), {}), MealySuccessors.make(("j",), {}))
+    with pytest.raises(ContractError, match="^no per-symbol order on PowSuccessors$"):
+        next(order_failures(PowSuccessors(frozenset()), PowSuccessors(frozenset())))
+    with pytest.raises(ContractError, match="^unsupported machine kind Relation$"):
+        assemble(Relation.identity(()), "r", [])
 
 
 @pytest.mark.parametrize(
@@ -439,6 +477,9 @@ def test_union_alphabet_mismatch():
     _, q, _, _, _ = quadruple()
     other = PartialMealyMachine("o", ("k",), ("a",), ("u",), {})
     with pytest.raises(ContractError):
+        disjoint_union(q, other)
+    other = PartialMealyMachine("o", q.inputs, ("k",), ("u",), {})
+    with pytest.raises(ContractError, match="^disjoint union requires identical output alphabets$"):
         disjoint_union(q, other)
 
 
@@ -527,7 +568,8 @@ MEALY_ONLY = {
     "Teacher": lambda m: Teacher(m, m.states[0]),
     "run": lambda m: run(m, m.states[0], ()),
     "eval_semantics": lambda m: eval_semantics(m, m.states[0], ("a",)),
-    "find_lax_morphism_from_tree": lambda m: find_lax_morphism_from_tree(ObservationTree((), ()), m, m.states[0]),
+    "find_lax_morphism_from_tree":
+        lambda m: find_lax_morphism_from_tree(ObservationTree(("a",), ("x",)), m, m.states[0]),
     "semantic_oracle_uncertain": lambda m: semantic_oracle_uncertain(m, m.states[0], m.states[0]),
 }
 SA_ONLY = {
@@ -550,3 +592,135 @@ def test_single_kind_operations_refuse_other_kinds(operation, kind, call):
         message = f"{operation} needs a {kind.__name__}, got {type(m).__name__} {m.name!r}"
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             call(m)
+
+
+# ---------------------------------------------------------------------------
+# the kind matrix: every public operation that takes machines, on each kind
+
+# one machine of each kind on the states s and t, and partners whose input
+# or output alphabet differs as a set
+KIND_SAMPLES = {
+    "mealy": PartialMealyMachine("m", ("a",), ("x",), ("s", "t"), {("s", "a"): ("x", "t")}),
+    "sa": SuspensionAutomaton("c", ("a",), ("x",), ("s", "t"), {("s", "a"): "t"},
+                              {("s", "x"): "s", ("t", "x"): "t"}),
+    "pow": PowersetSystem("w", ("s", "t"), {"s": {"t"}}),
+    "mealy-b": PartialMealyMachine("m2", ("b",), ("x",), ("s", "t"), {}),
+    "sa-y": SuspensionAutomaton("c2", ("a",), ("y",), ("s", "t"), {}, {("s", "y"): "s", ("t", "y"): "t"}),
+}
+M, S, P = "PartialMealyMachine 'm'", "SuspensionAutomaton 'c'", "PowersetSystem 'w'"
+EITHER = "needs a PartialMealyMachine or SuspensionAutomaton, got"
+IDENTITY, SAME = Relation.identity(("s", "t")), {"s": "s", "t": "t"}
+UNWITNESSED = SimulationWitness(IDENTITY, None, "hj")
+TO_OPENMAP = ("ContractError: openmap conversion is only available for Mealy machines; the suspension order "
+              "is not known to be restricting")
+
+# operations on one machine m that take more than one kind
+ONE_MACHINE = {
+    "relation_is_uncertain_bisimulation": lambda m: relation_is_uncertain_bisimulation(m, IDENTITY),
+    "synthesize_span_structure": lambda m: synthesize_span_structure(m, IDENTITY),
+    "joint_simulator": lambda m: joint_simulator(m, "s", "t"),
+    "render": lambda m: render(Document((m,))),
+}
+TWO_MACHINES = {
+    "StateMap": lambda a, b: StateMap(a, b, SAME),
+    "check_morphism": lambda a, b: check_morphism(StateMap(a, b, SAME), "lax"),
+    "kernel": lambda a, b: kernel(StateMap(a, b, SAME)),
+    "restrict_along": lambda a, b: restrict_along(StateMap(a, b, SAME)),
+    "check_simulation": lambda a, b: check_simulation(IDENTITY, a, b),
+    "simulation_violation": lambda a, b: simulation_violation(IDENTITY, a, b),
+    "witness_violations": lambda a, b: witness_violations(UNWITNESSED, a, b),
+    "hj_to_openmap": lambda a, b: hj_to_openmap(UNWITNESSED, a, b),
+    "disjoint_union": lambda a, b: disjoint_union(a, b),
+}
+PAIRS = ("mealy mealy", "sa sa", "pow pow", "mealy sa", "sa mealy", "mealy pow", "pow mealy", "mealy mealy-b",
+         "sa sa-y")
+
+
+def _pair_checked(op: str, mealy: str = "ok", sa: str = "ok") -> dict:
+    """The outcomes of an operation that checks the kinds, then the
+    alphabets of its two machines."""
+    kinds = f"ContractError: {op} needs two machines of one kind, got"
+    return {
+        "mealy mealy": mealy, "sa sa": sa, "pow pow": f"ContractError: {op} {EITHER} {P}",
+        "mealy sa": f"{kinds} {M} and {S}", "sa mealy": f"{kinds} {S} and {M}",
+        "mealy pow": f"{kinds} {M} and {P}", "pow mealy": f"ContractError: {op} {EITHER} {P}",
+        "mealy mealy-b": f"ContractError: {op} needs shared input alphabets, got {M} and PartialMealyMachine 'm2'",
+        "sa sa-y": f"ContractError: {op} needs shared output alphabets, got {S} and SuspensionAutomaton 'c2'",
+    }
+
+
+KIND_MATRIX = {
+    **{op: {"mealy": "ok", "sa": f"ContractError: {op} needs a PartialMealyMachine, got {S}",
+            "pow": f"ContractError: {op} needs a PartialMealyMachine, got {P}"} for op in MEALY_ONLY},
+    **{op: {"mealy": f"ContractError: {op} needs a SuspensionAutomaton, got {M}", "sa": "ok",
+            "pow": f"ContractError: {op} needs a SuspensionAutomaton, got {P}"} for op in SA_ONLY},
+    "relation_is_uncertain_bisimulation": {"mealy": "ok", "sa": "ok", "pow": "ok"},
+    **{op: {"mealy": "ok", "sa": "ok", "pow": f"ContractError: {op} {EITHER} {P}"}
+       for op in ("synthesize_span_structure", "joint_simulator", "render")},
+    **{op: _pair_checked(op) for op in ("StateMap", "simulation_violation", "witness_violations")},
+    "check_simulation": _pair_checked("simulation_violation"),
+    "check_morphism": _pair_checked("StateMap"),
+    "kernel": _pair_checked("StateMap"),
+    "restrict_along": _pair_checked("StateMap", sa="ContractError: restriction is only available for Mealy "
+                                    "machines; the suspension order is not known to be restricting"),
+    "hj_to_openmap": {
+        **_pair_checked("witness_violations", mealy="ContractError: witness does not validate: witness carries "
+                        "no span structure"),
+        **dict.fromkeys(("sa sa", "pow pow", "sa mealy", "pow mealy", "sa sa-y"), TO_OPENMAP),
+    },
+    "disjoint_union": {
+        "mealy mealy": "ok", "sa sa": "ok", "pow pow": "ok",
+        **dict.fromkeys(("mealy sa", "sa mealy", "mealy pow", "pow mealy"),
+                        "ContractError: disjoint union requires machines of the same kind"),
+        "mealy mealy-b": "ContractError: disjoint union requires identical input alphabets",
+        "sa sa-y": "ContractError: disjoint union requires identical output alphabets",
+    },
+}
+
+
+def _outcome(call, *machines) -> str:
+    """"ok" for a result, the type and message of a refusal; any other
+    exception fails the test."""
+    try:
+        call(*machines)
+    except UbisimError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+@pytest.mark.parametrize("operation", sorted(KIND_MATRIX))
+def test_kind_matrix(operation):
+    if operation in TWO_MACHINES:
+        outcomes = {pair: _outcome(TWO_MACHINES[operation], *map(KIND_SAMPLES.get, pair.split())) for pair in PAIRS}
+    else:
+        call = {**MEALY_ONLY, **SA_ONLY, **ONE_MACHINE}[operation]
+        outcomes = {kind: _outcome(call, KIND_SAMPLES[kind]) for kind in ("mealy", "sa", "pow")}
+    assert outcomes == KIND_MATRIX[operation]
+
+
+# each operation that takes a relation between machine states, called on a
+# relation whose left or right carrier holds a state the machine lacks; the
+# two-machine operations relate m to a renamed copy, so that each side's
+# message names its own machine
+TWIN = dataclasses.replace(KIND_SAMPLES["mealy"], name="twin")
+CARRIER_CHECKED = {
+    "simulation_violation": lambda rel, m: simulation_violation(rel, m, TWIN),
+    "witness_violations": lambda rel, m: witness_violations(SimulationWitness(rel, None, "hj"), m, TWIN),
+    "relation_is_ioco_compatibility": lambda rel, m: relation_is_ioco_compatibility(m, rel),
+    "relation_is_uncertain_bisimulation": lambda rel, m: relation_is_uncertain_bisimulation(m, rel),
+    "synthesize_span_structure": lambda rel, m: synthesize_span_structure(m, rel),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(CARRIER_CHECKED))
+def test_relation_carriers_stay_within_the_states(operation):
+    m = KIND_SAMPLES["sa" if operation == "relation_is_ioco_compatibility" else "mealy"]
+    dst = TWIN if operation in ("simulation_violation", "witness_violations") else m
+    strays = {"left": (Relation.identity(("s", "u", "t")), "u", m),
+              "right": (Relation(("s", "t"), ("v", "s", "t"), ()), "v", dst)}
+    if operation == "synthesize_span_structure":
+        del strays["right"]  # refused first as not reflexive
+    for side, (rel, stray, owner) in strays.items():
+        with refused(f"{operation} needs the relation's {side} carrier within the states of "
+                     f"{type(owner).__name__} {owner.name!r}, got {stray!r}"):
+            CARRIER_CHECKED[operation](rel, m)

@@ -70,7 +70,8 @@ def test_statemap_must_be_total(mapping, message):
 def test_statemap_needs_shared_alphabets():
     T, *_ = lax_chain()
     other = PartialMealyMachine("o", ("k",), ("o",), ("u",), {})
-    with pytest.raises(ContractError):
+    message = "StateMap needs shared input alphabets, got PartialMealyMachine 'T' and PartialMealyMachine 'o'"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
         StateMap(T, other, {"q0": "u", "q1": "u"})
 
 
@@ -117,6 +118,8 @@ def test_identity_is_strict():
     ident = StateMap(m, m, {s: s for s in m.states})
     for kind in ("strict", "lax", "oplax"):
         assert check_morphism(ident, kind).ok
+    with pytest.raises(ContractError, match="^unknown morphism kind 'weird'$"):
+        check_morphism(ident, "weird")
 
 
 def test_strict_implies_lax_and_oplax():

@@ -185,3 +185,7 @@ def test_non_square_symmetry_and_duplicate_carriers():
     assert not Relation(("a", "b"), ("b", "a", "c"), {("a", "c")}).is_symmetric()
     with pytest.raises(ValidationError):
         Relation(("a", "a"), ("x",), set())
+    with pytest.raises(ValidationError, match="^reflexive closure needs a square relation$"):
+        rel.reflexive_closure()
+    with pytest.raises(ValidationError, match="^union requires identical carriers$"):
+        rel.union(Relation.square(("a", "b"), set()))
