@@ -147,14 +147,13 @@ def _dead_pairs(
                 if rows is None:  # universal: every pair led into delta dies
                     new = hit & ~dead[x]
                 else:  # existential: the pairs that lose their last live label
-                    lost = rows[x] & hit
-                    if not lost:
-                        continue
-                    rows[x] ^= lost
+                    # hit is still within rows[x]: the label leads x and
+                    # each y to one pair, and each pair enters one delta
+                    rows[x] ^= hit
                     kept = dead[x]
                     for other in live:
                         kept |= other[x]
-                    new = lost & ~kept
+                    new = hit & ~kept
                 if new:
                     dead[x] |= new
                     if not pending[x]:

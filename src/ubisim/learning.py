@@ -202,14 +202,6 @@ class Teacher:
         self._symbols = 0
 
     @property
-    def inputs(self) -> tuple[str, ...]:
-        return self._hidden.inputs
-
-    @property
-    def outputs(self) -> tuple[str, ...]:
-        return self._hidden.outputs
-
-    @property
     def queries(self) -> int:
         return self._count
 

@@ -29,7 +29,6 @@ from .machines import (
     Successors,
     _check_carriers,
     _tables_of,
-    check_same_shape,
     eval_semantics,
     map_structure,
     order_failures,
@@ -39,11 +38,14 @@ from .relations import Relation, inverse_image
 
 def _check_args(rel: Relation, *pair: Successors) -> None:
     """Refuse a relation that is not on a single carrier, and a pair of
-    structures of different shapes or with a successor outside it."""
+    structures of different kinds, over alphabets in different orders (the
+    liftings pair entries by position), or with a successor outside it."""
     if not rel.is_square:
         raise ContractError("lifting membership needs a relation on a single carrier")
     if pair:
-        check_same_shape(*pair)
+        t, s = pair
+        if type(t) is not type(s) or any(getattr(t, a, ()) != getattr(s, a, ()) for a in ("inputs", "outputs")):
+            raise ContractError("lifting membership needs two structures of one kind over one alphabet order")
     for ref in itertools.chain.from_iterable(t.refs() for t in pair):
         if ref not in rel.left:
             raise ContractError(f"successor {ref!r} is outside the relation's carrier")

@@ -248,14 +248,6 @@ def order_failures(
         raise ContractError(f"no per-symbol order on {type(t).__name__}")
 
 
-def check_same_shape(t: Successors, s: Successors) -> None:
-    """Refuse structures of different kinds or over different alphabets."""
-    if type(t) is not type(s):
-        raise ContractError("successor structures must be of the same kind")
-    if any(getattr(t, a, ()) != getattr(s, a, ()) for a in ("inputs", "outputs")):
-        raise ContractError("alphabets differ")
-
-
 def order_leq(t: Successors, s: Successors) -> bool:
     """Decide t below s in the successor-structure order of t's kind.
 
@@ -264,10 +256,11 @@ def order_leq(t: Successors, s: Successors) -> bool:
     sub-map of t's (inputs may be added going up, outputs removed).
     Powerset: subset inclusion.
 
-    Both arguments must be of the same kind over the same alphabets;
-    callers are responsible for using a common successor carrier.
+    Both arguments must be of one kind over alphabets equal as sets
+    (`_same_kind`), and are compared symbol by symbol; callers are
+    responsible for using a common successor carrier.
     """
-    check_same_shape(t, s)
+    _same_kind(t, s, "order_leq")
     if isinstance(t, PowSuccessors):
         return t.elems <= s.elems
     return next(order_failures(t, s), None) is None
@@ -462,7 +455,7 @@ _MEALY_OR_SA = (PartialMealyMachine, SuspensionAutomaton)
 
 
 def _named(machine) -> str:
-    name = getattr(machine, "name", None)  # an observation tree has none
+    name = getattr(machine, "name", None)  # an observation tree or a structure has none
     return type(machine).__name__ + ("" if name is None else f" {name!r}")
 
 
@@ -477,18 +470,24 @@ def _tables_of(machine, kind, operation: str):
 
 
 def _same_shape(first, second, operation: str) -> None:
-    """Refuse powerset systems, two machines of different kinds, and
-    alphabets that differ as sets (`_shared_alphabets`)."""
+    """Refuse powerset systems, then what `_same_kind` refuses."""
     _tables_of(first, _MEALY_OR_SA, operation)
+    _same_kind(first, second, operation)
+
+
+def _same_kind(first, second, operation: str) -> None:
+    """Refuse two machines (or structures) of different kinds, and
+    alphabets that differ as sets (`_shared_alphabets`)."""
     if type(second) is not type(first):
         raise ContractError(f"{operation} needs two machines of one kind, got {_named(first)} and {_named(second)}")
     _shared_alphabets(first, second, operation)
 
 
 def _shared_alphabets(first, second, operation: str) -> None:
-    """Refuse input or output alphabets that differ as sets."""
+    """Refuse input or output alphabets that differ as sets; a missing
+    alphabet (a powerset system's, a Mealy structure's outputs) is empty."""
     for what in ("input", "output"):
-        if set(getattr(first, what + "s")) != set(getattr(second, what + "s")):
+        if set(getattr(first, what + "s", ())) != set(getattr(second, what + "s", ())):
             raise ContractError(f"{operation} needs shared {what} alphabets, got {_named(first)} and {_named(second)}")
 
 
@@ -564,8 +563,9 @@ def assemble(like, name: str, items: Iterable[tuple[str, Successors]]):
 
 
 def disjoint_union(first, second, *rest):
-    """Combine machines of the same kind over identical alphabets into one
-    machine on the tagged union of their state sets.
+    """Combine machines of one kind into one machine on the tagged union of
+    their state sets.  Their alphabets must be equal as sets; the union
+    lists the symbols in the first machine's order.
 
     States are renamed to "<machineName>.<state>" so that witnesses stay
     readable across machines; a machine given more than once gets numbered
@@ -575,15 +575,8 @@ def disjoint_union(first, second, *rest):
     combined machine and one rename map per argument.
     """
     parts = [first, second, *rest]
-    kind = type(first)
-    if any(type(p) is not kind for p in parts):
-        raise ContractError("disjoint union requires machines of the same kind")
-    if kind is not PowersetSystem:
-        if any(p.inputs != first.inputs for p in parts):
-            raise ContractError("disjoint union requires identical input alphabets")
-        if any(p.outputs != first.outputs for p in parts):
-            raise ContractError("disjoint union requires identical output alphabets")
-
+    for p in parts[1:]:
+        _same_kind(first, p, "disjoint_union")
     names = [p.name for p in parts]
     prefixes = [n if names.count(n) == 1 else f"{n}{names[:k].count(n) + 1}" for k, n in enumerate(names)]
     unique = iter(distinct_names(f"{pre}.{s}" for pre, p in zip(prefixes, parts) for s in p.states))
@@ -593,6 +586,6 @@ def disjoint_union(first, second, *rest):
         "+".join(p.name for p in parts),
         [(r[s], map_structure(p.successors(s), r)) for p, r in zip(parts, renames) for s in p.states],
     )
-    if kind is PartialMealyMachine and all(p.total for p in parts):
+    if isinstance(first, PartialMealyMachine) and all(p.total for p in parts):
         combined = replace(combined, total=True)
     return combined, renames

@@ -116,11 +116,7 @@ def restrict_along(h: StateMap) -> PartialMealyMachine:
     suspension-automaton order is not known to allow it, so those are
     refused.
     """
-    if not isinstance(h.source, PartialMealyMachine):
-        raise ContractError(
-            "restriction is only available for Mealy machines; the suspension "
-            "order is not known to be restricting"
-        )
+    _tables_of(h.source, PartialMealyMachine, "restrict_along")
     report = check_morphism(h, "oplax")
     if not report.ok:
         first = report.violations[0]

@@ -119,14 +119,12 @@ def witness_violations(w: SimulationWitness, src: Machine, dst: Machine) -> list
                 problems.append(f"structure of {pair} leaves the relation at {ref}")
         left, right = (map_structure(struct, {r: r[k] for r in struct.refs()}) for k in (0, 1))
         csrc = src.successors(pair[0])
-        cdst = dst.successors(pair[1])
-        if w.style == "openmap":
-            if left != csrc:
+        if w.style == "openmap":  # strict: below and above
+            if not (order_leq(csrc, left) and order_leq(left, csrc)):
                 problems.append(f"left projection not strict at {pair}")
-        else:
-            if not order_leq(csrc, left):
-                problems.append(f"left projection not oplax at {pair}")
-        if not order_leq(right, cdst):
+        elif not order_leq(csrc, left):
+            problems.append(f"left projection not oplax at {pair}")
+        if not order_leq(right, dst.successors(pair[1])):
             problems.append(f"right projection not lax at {pair}")
     return problems
 
@@ -136,11 +134,7 @@ def hj_to_openmap(w: SimulationWitness, src: Machine, dst: Machine) -> Simulatio
     whose left projection commutes exactly, by deleting the structure
     entries that the left state does not carry.  Mealy machines only: the
     suspension order is not known to allow this restriction."""
-    if not isinstance(src, PartialMealyMachine):
-        raise ContractError(
-            "openmap conversion is only available for Mealy machines; the "
-            "suspension order is not known to be restricting"
-        )
+    _tables_of(src, PartialMealyMachine, "hj_to_openmap")
     if w.style != "hj":
         raise ContractError("conversion starts from a hughes-jacobs witness")
     problems = witness_violations(w, src, dst)
@@ -148,7 +142,7 @@ def hj_to_openmap(w: SimulationWitness, src: Machine, dst: Machine) -> Simulatio
         raise ContractError("witness does not validate: " + problems[0])
     structure = {
         pair: MealySuccessors(t.inputs, tuple(
-            None if c is None else e for e, c in zip(t.entries, src.successors(pair[0]).entries)
+            e if (pair[0], i) in src.delta else None for i, e in zip(t.inputs, t.entries)
         ))
         for pair, t in w.structure.items()
     }

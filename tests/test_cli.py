@@ -1,15 +1,18 @@
 import io
 import contextlib
+import dataclasses
 import errno
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
 
 import ubisim
 import ubisim.cli as cli
-from helpers import fixture_path
+from helpers import fixture_path, random_partial_mealy, random_sa
+from ubisim import Document, render
 from ubisim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -160,7 +163,8 @@ def test_unknown_state_before_the_union(tmp_path, capsys):
         (["join", PATHS["sa_morphism"], "C:nope", "D:1'"], "unknown state 'nope' in automaton 'C'"),
         (["witness", str(path), "a:s", "b:nope"], "unknown state 'nope' in machine 'b'"),
         (["witness", str(path), "a:nope", "b:t"], "unknown state 'nope' in machine 'a'"),
-        (["witness", str(path), "a:s", "b:t"], "disjoint union requires identical input alphabets"),
+        (["witness", str(path), "a:s", "b:t"],
+         "disjoint_union needs shared input alphabets, got PartialMealyMachine 'a' and PartialMealyMachine 'b'"),
     ]:
         assert run_cli(argv) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -226,7 +230,32 @@ def test_restrict_refuses_suspension_automata(tmp_path, capsys):
     path.write_text(doc)
     code, out = run_cli(["restrict", str(path), "f"])
     assert code == 2 and out == ""
-    assert "restricting" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: restrict_along needs a PartialMealyMachine, got SuspensionAutomaton 'A'\n"
+
+
+def test_cross_machine_answers_ignore_symbol_order(tmp_path):
+    # pairs of random machines, once as drawn and once with the second
+    # machine declaring its inputs and outputs in a shuffled order: every
+    # cross-machine subcommand answers the same, byte for byte
+    rng = random.Random(5)
+    for draw in range(12):
+        if draw % 3:
+            a, b = (random_partial_mealy(rng, rng.randint(1, 4), 3, 3, name=n) for n in "ab")
+        else:
+            a, b = (random_sa(rng, rng.randint(1, 4), ("i", "j"), ("u", "v", "w"), name=n) for n in "ab")
+        shuffled = dataclasses.replace(b, inputs=rng.sample(b.inputs, len(b.inputs)),
+                                       outputs=rng.sample(b.outputs, len(b.outputs)))
+        plain, mixed = tmp_path / f"plain{draw}.txt", tmp_path / f"mixed{draw}.txt"
+        plain.write_text(render(Document((a, b))))
+        mixed.write_text(render(Document((a, shuffled))))
+        assert plain.read_text() != mixed.read_text()
+        for x in a.states:
+            for y in b.states:
+                for command in (["check", "uncertain"], ["witness"], ["identify"], ["join"]):
+                    answer = run_cli([*command, str(plain), f"a:{x}", f"b:{y}"])
+                    assert run_cli([*command, str(mixed), f"a:{x}", f"b:{y}"]) == answer, (draw, command, x, y)
+                    mealy_only = command != ["join"]
+                    assert answer[0] in (0, 1) or mealy_only and isinstance(a, ubisim.SuspensionAutomaton)
 
 
 # The names bench/worker.py (CLI_CALLS) rebinds on `ubisim.cli` to trace

@@ -136,6 +136,15 @@ def test_equal_trees_mean_equal_observations():
     assert forward != empty.record(("b", "a"), ("y", "y"))
     assert forward != ObservationTree.empty(("b", "a"), ("x", "y"))
     assert empty != ObservationTree.empty(("a", "b"), ("x",))
+    # a tree equals no other kind of value
+    assert not forward == 1 and forward != 1
+    assert forward != forward.as_machine()
+
+
+def test_tree_repr_shows_alphabets_and_observations():
+    tree = ObservationTree.empty(("a", "b"), ("x", "y")).record(("b", "a"), ("y", "x"))
+    assert repr(tree) == ("ObservationTree(inputs=('a', 'b'), outputs=('x', 'y'), "
+                          "edges={((), 'b'): 'y', (('b',), 'a'): 'x'})")
 
 
 def test_edges_rebuild_from_words():

@@ -151,8 +151,14 @@ def test_contract_violations():
     with pytest.raises(ContractError):
         in_lifting(rel, undef(), undef())
     square = Relation.square(("a",), set())
-    with pytest.raises(ContractError):
-        in_lifting(square, undef(), PowSuccessors(frozenset()))
+    # the liftings pair entries by position, so they refuse other kinds
+    # and alphabets in another order
+    shape = "^lifting membership needs two structures of one kind over one alphabet order$"
+    for other in (PowSuccessors(frozenset()), undef(("j", "i"))):
+        with pytest.raises(ContractError, match=shape):
+            in_lifting(square, undef(("i", "j")), other)
+        with pytest.raises(ContractError, match=shape):
+            in_uncertain_lifting(square, undef(("i", "j")), other)
     with pytest.raises(ContractError):
         in_lifting(square, single("zzz"), undef())
     with pytest.raises(ContractError, match="^Mealy completions need the output alphabet$"):

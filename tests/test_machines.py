@@ -57,7 +57,7 @@ from ubisim import (
     witness_violations,
 )
 from ubisim.lifting import all_mealy_successors, all_pow_successors, all_sa_successors
-from ubisim.machines import assemble, distinct_names, order_failures
+from ubisim.machines import assemble, distinct_names, map_structure, order_failures
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +391,10 @@ def test_order_mealy_examples():
     t = MealySuccessors.make(("i",), {"i": ("a", "s1")})
     s = MealySuccessors.make(("i",), {"i": ("b", "s1")})
     assert not order_leq(t, s)
+    # over the same symbols in another order, structures compare by symbol
+    known = MealySuccessors.make(("j", "i"), {"i": ("a", "s1")})
+    assert order_leq(known, anything) and not order_leq(anything, known)
+    assert not order_leq(known, MealySuccessors.make(("i", "j"), {"i": ("b", "s1")}))
 
 
 def test_order_sa_example():
@@ -399,6 +403,8 @@ def test_order_sa_example():
     right = SaSuccessors.make(("a",), outs, {"a": "6"}, {"y": "6"})
     assert order_leq(left, right)
     assert not order_leq(right, left)
+    flipped = SaSuccessors.make(("a",), outs[::-1], {"a": "6"}, {"y": "6"})
+    assert order_leq(left, flipped) and not order_leq(flipped, left)
 
 
 def test_order_pow_is_inclusion():
@@ -407,10 +413,14 @@ def test_order_pow_is_inclusion():
 
 
 def test_order_contract_violations():
-    with pytest.raises(ContractError):
-        order_leq(MealySuccessors.make(("i",), {}), PowSuccessors(frozenset()))
-    with pytest.raises(ContractError):
-        order_leq(MealySuccessors.make(("i",), {}), MealySuccessors.make(("j",), {}))
+    mealy = MealySuccessors.make(("i",), {})
+    for other, message in [
+        (PowSuccessors(frozenset()), "order_leq needs two machines of one kind, got MealySuccessors and PowSuccessors"),
+        (MealySuccessors.make(("j",), {}),
+         "order_leq needs shared input alphabets, got MealySuccessors and MealySuccessors"),
+    ]:
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            order_leq(mealy, other)
     with pytest.raises(ContractError, match="^no per-symbol order on PowSuccessors$"):
         next(order_failures(PowSuccessors(frozenset()), PowSuccessors(frozenset())))
     with pytest.raises(ContractError, match="^unsupported machine kind Relation$"):
@@ -475,12 +485,31 @@ def test_self_union():
 
 def test_union_alphabet_mismatch():
     _, q, _, _, _ = quadruple()
-    other = PartialMealyMachine("o", ("k",), ("a",), ("u",), {})
-    with pytest.raises(ContractError):
-        disjoint_union(q, other)
-    other = PartialMealyMachine("o", q.inputs, ("k",), ("u",), {})
-    with pytest.raises(ContractError, match="^disjoint union requires identical output alphabets$"):
-        disjoint_union(q, other)
+    for what, other in (("input", PartialMealyMachine("o", ("k",), q.outputs, ("u",), {})),
+                        ("output", PartialMealyMachine("o", q.inputs, ("k",), ("u",), {}))):
+        message = f"disjoint_union needs shared {what} alphabets, got PartialMealyMachine 'q' and PartialMealyMachine 'o'"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            disjoint_union(q, other)
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            disjoint_union(q, q, other)  # each later part against the first
+
+
+def test_union_of_permuted_alphabets():
+    # the union lists the symbols in the first machine's order and keeps
+    # every transition by symbol
+    first = PartialMealyMachine("a", ("i", "j"), ("x", "y"), ("s",), {("s", "i"): ("x", "s")})
+    second = PartialMealyMachine("b", ("j", "i"), ("y", "x"), ("t",),
+                                 {("t", "i"): ("y", "t"), ("t", "j"): ("x", "t")})
+    combined, _ = disjoint_union(first, second)
+    assert (combined.inputs, combined.outputs) == (("i", "j"), ("x", "y"))
+    assert combined.delta == {("a.s", "i"): ("x", "a.s"), ("b.t", "i"): ("y", "b.t"), ("b.t", "j"): ("x", "b.t")}
+    C, *_ = sa_pair()
+    flipped = dataclasses.replace(C, name="F", inputs=C.inputs[::-1], outputs=C.outputs[::-1])
+    combined, (rc, rf) = disjoint_union(C, flipped)
+    assert (combined.inputs, combined.outputs) == (C.inputs, C.outputs)
+    for x in C.states:
+        assert combined.successors(rc[x]) == map_structure(C.successors(x), rc)
+        assert combined.successors(rf[x]) == map_structure(C.successors(x), rf)
 
 
 def test_union_commutes_with_eval():
@@ -569,7 +598,7 @@ MEALY_ONLY = {
     "run": lambda m: run(m, m.states[0], ()),
     "eval_semantics": lambda m: eval_semantics(m, m.states[0], ("a",)),
     "find_lax_morphism_from_tree":
-        lambda m: find_lax_morphism_from_tree(ObservationTree(("a",), ("x",)), m, m.states[0]),
+        lambda m: find_lax_morphism_from_tree(ObservationTree(("a", "b"), ("x",)), m, m.states[0]),
     "semantic_oracle_uncertain": lambda m: semantic_oracle_uncertain(m, m.states[0], m.states[0]),
 }
 SA_ONLY = {
@@ -597,22 +626,23 @@ def test_single_kind_operations_refuse_other_kinds(operation, kind, call):
 # ---------------------------------------------------------------------------
 # the kind matrix: every public operation that takes machines, on each kind
 
-# one machine of each kind on the states s and t, and partners whose input
-# or output alphabet differs as a set
+# one machine of each kind on the states s and t, partners whose input or
+# output alphabet differs as a set, and copies of the Mealy machine and the
+# suspension automaton that declare their inputs or outputs in another order
 KIND_SAMPLES = {
-    "mealy": PartialMealyMachine("m", ("a",), ("x",), ("s", "t"), {("s", "a"): ("x", "t")}),
-    "sa": SuspensionAutomaton("c", ("a",), ("x",), ("s", "t"), {("s", "a"): "t"},
+    "mealy": PartialMealyMachine("m", ("a", "b"), ("x",), ("s", "t"), {("s", "a"): ("x", "t")}),
+    "sa": SuspensionAutomaton("c", ("a",), ("x", "y"), ("s", "t"), {("s", "a"): "t"},
                               {("s", "x"): "s", ("t", "x"): "t"}),
     "pow": PowersetSystem("w", ("s", "t"), {"s": {"t"}}),
     "mealy-b": PartialMealyMachine("m2", ("b",), ("x",), ("s", "t"), {}),
     "sa-y": SuspensionAutomaton("c2", ("a",), ("y",), ("s", "t"), {}, {("s", "y"): "s", ("t", "y"): "t"}),
 }
+KIND_SAMPLES["mealy-ba"] = dataclasses.replace(KIND_SAMPLES["mealy"], inputs=("b", "a"))
+KIND_SAMPLES["sa-yx"] = dataclasses.replace(KIND_SAMPLES["sa"], outputs=("y", "x"))
 M, S, P = "PartialMealyMachine 'm'", "SuspensionAutomaton 'c'", "PowersetSystem 'w'"
 EITHER = "needs a PartialMealyMachine or SuspensionAutomaton, got"
 IDENTITY, SAME = Relation.identity(("s", "t")), {"s": "s", "t": "t"}
 UNWITNESSED = SimulationWitness(IDENTITY, None, "hj")
-TO_OPENMAP = ("ContractError: openmap conversion is only available for Mealy machines; the suspension order "
-              "is not known to be restricting")
 
 # operations on one machine m that take more than one kind
 ONE_MACHINE = {
@@ -661,20 +691,16 @@ KIND_MATRIX = {
     "check_simulation": _pair_checked("simulation_violation"),
     "check_morphism": _pair_checked("StateMap"),
     "kernel": _pair_checked("StateMap"),
-    "restrict_along": _pair_checked("StateMap", sa="ContractError: restriction is only available for Mealy "
-                                    "machines; the suspension order is not known to be restricting"),
+    "restrict_along": _pair_checked("StateMap",
+                                    sa=f"ContractError: restrict_along needs a PartialMealyMachine, got {S}"),
     "hj_to_openmap": {
         **_pair_checked("witness_violations", mealy="ContractError: witness does not validate: witness carries "
                         "no span structure"),
-        **dict.fromkeys(("sa sa", "pow pow", "sa mealy", "pow mealy", "sa sa-y"), TO_OPENMAP),
+        **{pair: f"ContractError: hj_to_openmap needs a PartialMealyMachine, got {S if pair[0] == 's' else P}"
+           for pair in ("sa sa", "pow pow", "sa mealy", "pow mealy", "sa sa-y")},
     },
-    "disjoint_union": {
-        "mealy mealy": "ok", "sa sa": "ok", "pow pow": "ok",
-        **dict.fromkeys(("mealy sa", "sa mealy", "mealy pow", "pow mealy"),
-                        "ContractError: disjoint union requires machines of the same kind"),
-        "mealy mealy-b": "ContractError: disjoint union requires identical input alphabets",
-        "sa sa-y": "ContractError: disjoint union requires identical output alphabets",
-    },
+    "disjoint_union": {**_pair_checked("disjoint_union"), "pow pow": "ok", "pow mealy":
+                       f"ContractError: disjoint_union needs two machines of one kind, got {P} and {M}"},
 }
 
 
@@ -692,6 +718,9 @@ def _outcome(call, *machines) -> str:
 def test_kind_matrix(operation):
     if operation in TWO_MACHINES:
         outcomes = {pair: _outcome(TWO_MACHINES[operation], *map(KIND_SAMPLES.get, pair.split())) for pair in PAIRS}
+        # declaring a partner's symbols in another order changes no outcome
+        for same, permuted in (("mealy mealy", "mealy mealy-ba"), ("sa sa", "sa sa-yx")):
+            assert _outcome(TWO_MACHINES[operation], *map(KIND_SAMPLES.get, permuted.split())) == outcomes[same]
     else:
         call = {**MEALY_ONLY, **SA_ONLY, **ONE_MACHINE}[operation]
         outcomes = {kind: _outcome(call, KIND_SAMPLES[kind]) for kind in ("mealy", "sa", "pow")}

@@ -304,6 +304,28 @@ def test_witness_violations_name_each_problem():
     assert problems(spans["empty"], "openmap") == ["left projection not strict at ('u', 'w')"]
     assert problems(spans["empty"]) == ["left projection not oplax at ('u', 'w')"]
     assert problems(spans["extra"]) == ["right projection not lax at ('u', 'w')"]
+    assert problems(spans["extra"], "openmap") == [
+        "left projection not strict at ('u', 'w')",
+        "right projection not lax at ('u', 'w')",
+    ]
+
+
+def test_span_witness_across_permuted_inputs():
+    # the witness's structure lists i before j, the source j before i: the
+    # projections compare by symbol, and the conversion keeps the entry on
+    # i, which the source carries, and drops the one on j
+    src = PartialMealyMachine("s", ("j", "i"), ("o",), ("u",), {("u", "i"): ("o", "u")})
+    dst = PartialMealyMachine("d", ("i", "j"), ("o",), ("w",), {("w", "i"): ("o", "w"), ("w", "j"): ("o", "w")})
+    rel = Relation(("u",), ("w",), {("u", "w")})
+    structure = {("u", "w"): MealySuccessors.make(("i", "j"), {"i": ("o", ("u", "w")), "j": ("o", ("u", "w"))})}
+    hj = SimulationWitness(rel, structure, "hj")
+    assert witness_violations(hj, src, dst) == []
+    om = hj_to_openmap(hj, src, dst)
+    assert om.style == "openmap"
+    assert om.structure == {("u", "w"): MealySuccessors.make(("i", "j"), {"i": ("o", ("u", "w"))})}
+    assert witness_violations(om, src, dst) == []
+    flipped = PartialMealyMachine("d", ("j", "i"), ("o",), ("w",), dst.delta)
+    assert witness_violations(om, src, flipped) == []
 
 
 def test_hj_to_openmap_refuses_other_witnesses():
@@ -317,7 +339,7 @@ def test_hj_to_openmap_refuses_other_witnesses():
 def test_hj_to_openmap_refuses_sa():
     C, *_ = sa_pair()
     joint = joint_simulator(C, "2", "3")
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^hj_to_openmap needs a PartialMealyMachine, got SuspensionAutomaton 'C'$"):
         hj_to_openmap(joint.left_witness, C, joint.machine)
 
 
