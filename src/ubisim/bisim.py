@@ -36,26 +36,24 @@ are what a `Relation` stores, so the engines hand theirs over as they are.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
 from typing import Optional, Sequence
 
-from .errors import ValidationError
+from .errors import Record, ValidationError
 from .machines import PartialMealyMachine, SuspensionAutomaton, _check_carriers, _tables_of
 from .relations import Relation, _bits
 
 
-@dataclass(frozen=True)
-class ApartnessWitness:
+class ApartnessWitness(Record):
     """A word on which two states' semantics are both defined but differ."""
 
     word: tuple[str, ...]
     left_output: str
     right_output: str
 
-    def __post_init__(self):
+    def _check(self):
         if not self.word:
             raise ValidationError("an apartness witness needs a non-empty word")
         if self.left_output == self.right_output:

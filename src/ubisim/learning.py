@@ -16,11 +16,10 @@ list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .errors import ContractError, ObservationConflictError, ValidationError
+from .errors import ContractError, ObservationConflictError, Record, ValidationError
 from .machines import PartialMealyMachine, _shared_alphabets, _tables_of, _unique, distinct_names
 from .relations import Relation
 
@@ -34,7 +33,6 @@ def node_id(word: Sequence[str]) -> str:
     return ".".join(word) if word else ROOT_ID
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
 class ObservationTree:
     """All query responses gathered so far, as a tree of nodes.
 
@@ -182,6 +180,9 @@ class ObservationTree:
     def __repr__(self) -> str:
         return f"ObservationTree(inputs={self.inputs!r}, outputs={self.outputs!r}, edges={self.edges!r})"
 
+    # immutable like a record, but compared by its observations, and unhashable
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
+
 
 class Teacher:
     """The black box of the learning game.
@@ -279,8 +280,7 @@ def tree_apartness_frontier(tree: ObservationTree) -> Relation:
     return Relation.from_rows(tree._names, tree._names, apart)
 
 
-@dataclass(frozen=True)
-class TreeConflict:
+class TreeConflict(Record):
     """The shortest access word at which no matching transition exists in
     the hypothesis."""
 

@@ -27,19 +27,19 @@ state to its position in `states`, and state checks look it up (a Mealy
 machine's `input_index` does the same for `inputs`).  The pass that
 validates the transitions also fills the dense arrays over those
 positions that `tables()` returns, the same read-only lists on every call.
-The indexes and the tables are not dataclass fields: they take no part in
-`repr` or `==`, and `replace` builds them anew.  The one machine built
-without those checks is an observation tree's, from the tree's ranks,
-which guarantee what the checks test.
+Machines and structures are `Record`s.  The indexes and the tables are
+attributes, not fields: they take no part in `repr` or `==`, and
+`replace` builds them anew, since it goes through the constructor.  The
+one machine built without those checks is an observation tree's, from
+the tree's ranks, which guarantee what the checks test.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import ContractError, ValidationError
+from .errors import ContractError, Record, ValidationError
 
 # Successor references are opaque: plain state ids inside machines, state
 # pairs inside span structures.
@@ -92,8 +92,7 @@ def distinct_names(names: Iterable[str]) -> list[str]:
 # successor structures
 
 
-@dataclass(frozen=True)
-class MealySuccessors:
+class MealySuccessors(Record):
     """One-step behaviour of a Mealy state.
 
     `entries` is aligned with `inputs`; each entry is either a pair
@@ -105,7 +104,7 @@ class MealySuccessors:
     inputs: tuple[str, ...]
     entries: tuple[Optional[tuple[str, Ref]], ...]
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.inputs) != len(self.entries):
             raise ValidationError("entries must align with the input alphabet")
 
@@ -133,8 +132,7 @@ class MealySuccessors:
             yield ref
 
 
-@dataclass(frozen=True)
-class SaSuccessors:
+class SaSuccessors(Record):
     """One-step behaviour of a suspension-automaton state: a partial input
     successor map and a partial output successor map.  Inside an automaton
     the output part must be non-empty (non-blocking)."""
@@ -144,7 +142,7 @@ class SaSuccessors:
     in_entries: tuple[Optional[Ref], ...]
     out_entries: tuple[Optional[Ref], ...]
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.inputs) != len(self.in_entries) or len(self.outputs) != len(self.out_entries):
             raise ValidationError("entries must align with the alphabets")
 
@@ -197,14 +195,13 @@ class SaSuccessors:
             yield ref
 
 
-@dataclass(frozen=True)
-class PowSuccessors:
+class PowSuccessors(Record):
     """One-step behaviour of a powerset-system state: its successor set."""
 
     elems: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "elems", frozenset(self.elems))
+    def _check(self):
+        vars(self)["elems"] = frozenset(self.elems)
 
     def refs(self) -> Iterator[Ref]:
         return iter(self.elems)
@@ -287,8 +284,7 @@ def map_structure(t: Successors, f: Mapping[Ref, Ref]) -> Successors:
 # machines
 
 
-@dataclass(frozen=True)
-class PartialMealyMachine:
+class PartialMealyMachine(Record):
     """A finite Mealy machine with a partial transition map.
 
     `delta` maps (state, input) to (output, successor); absent keys are the
@@ -304,11 +300,9 @@ class PartialMealyMachine:
     delta: Mapping[tuple[str, str], tuple[str, str]]
     total: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "delta", dict(self.delta))
+    def _check(self):
+        vars(self).update(inputs=tuple(self.inputs), outputs=tuple(self.outputs), states=tuple(self.states),
+                          delta=dict(self.delta))
         inputs = _unique(self.inputs, "input symbol")
         outputs = _unique(self.outputs, "output symbol")
         index = _unique(self.states, "state")
@@ -331,16 +325,14 @@ class PartialMealyMachine:
                 if -1 in row:
                     i = self.inputs[row.index(-1)]
                     raise ValidationError(f"machine declared total but {s!r} has no transition on {i!r}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "input_index", inputs)
-        object.__setattr__(self, "_tables", (succ, out))
+        vars(self).update(index=index, input_index=inputs, _tables=(succ, out))
 
     @classmethod
     def _tree(cls, inputs: tuple, outputs: tuple, states: tuple, ranked: Sequence[tuple[int, int, str]]):
         """The machine "tree" of an observation tree's ranked edges: state r
         is entered from ranked[r - 1] = (parent's position, input's
         position, output), and `delta` follows that order.  Trusts what the
-        tree guarantees, so it skips `__post_init__`'s checks: distinct
+        tree guarantees, so it skips the constructor's checks: distinct
         states and symbols, known outputs, one edge per state and input,
         and endpoints among the states."""
         succ = [[-1] * len(states) for _ in inputs]
@@ -350,11 +342,9 @@ class PartialMealyMachine:
             succ[k][q], out[k][q] = r, o
             delta[states[q], inputs[k]] = (o, states[r])
         machine = object.__new__(cls)
-        index, input_index = dict(zip(states, range(len(states)))), dict(zip(inputs, range(len(inputs))))
-        for field, value in (("name", "tree"), ("inputs", inputs), ("outputs", outputs), ("states", states),
-                             ("delta", delta), ("total", False), ("index", index), ("input_index", input_index),
-                             ("_tables", (succ, out))):
-            object.__setattr__(machine, field, value)  # frozen: past __setattr__, as in __post_init__
+        vars(machine).update(name="tree", inputs=inputs, outputs=outputs, states=states, delta=delta, total=False,
+                             index=dict(zip(states, range(len(states)))),
+                             input_index=dict(zip(inputs, range(len(inputs)))), _tables=(succ, out))
         return machine
 
     def check_state(self, state: str) -> None:
@@ -374,8 +364,7 @@ class PartialMealyMachine:
         return self._tables
 
 
-@dataclass(frozen=True)
-class SuspensionAutomaton:
+class SuspensionAutomaton(Record):
     """A finite suspension automaton: partial input successors `din`, partial
     output successors `dout`, with every state non-blocking (at least one
     output transition).  `index` maps each state to its position in
@@ -388,12 +377,9 @@ class SuspensionAutomaton:
     din: Mapping[tuple[str, str], str]
     dout: Mapping[tuple[str, str], str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "din", dict(self.din))
-        object.__setattr__(self, "dout", dict(self.dout))
+    def _check(self):
+        vars(self).update(inputs=tuple(self.inputs), outputs=tuple(self.outputs), states=tuple(self.states),
+                          din=dict(self.din), dout=dict(self.dout))
         inputs = _unique(self.inputs, "input symbol")
         outputs = _unique(self.outputs, "output symbol")
         index = _unique(self.states, "state")
@@ -402,8 +388,7 @@ class SuspensionAutomaton:
         for x, s in enumerate(self.states):
             if all(row[x] < 0 for row in outs):
                 raise ValidationError(f"blocking state {s!r}: no output transition")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_tables", (ins, outs))
+        vars(self).update(index=index, _tables=(ins, outs))
 
     def check_state(self, state: str) -> None:
         if state not in self.index:
@@ -425,8 +410,7 @@ class SuspensionAutomaton:
         return self._tables
 
 
-@dataclass(frozen=True)
-class PowersetSystem:
+class PowersetSystem(Record):
     """A finitely branching successor system: each state maps to a finite
     set of successor states.  `index` maps each state to its position in
     `states`."""
@@ -435,12 +419,10 @@ class PowersetSystem:
     states: tuple[str, ...]
     succ: Mapping[str, frozenset]
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(
-            self, "succ", {s: frozenset(v) for s, v in dict(self.succ).items()}
-        )
-        object.__setattr__(self, "index", _unique(self.states, "state"))
+    def _check(self):
+        states = tuple(self.states)
+        vars(self).update(states=states, succ={s: frozenset(v) for s, v in dict(self.succ).items()},
+                          index=_unique(states, "state"))
         for s, nexts in self.succ.items():
             if s not in self.index or not nexts <= self.index.keys():
                 raise ValidationError(f"successor set of {s!r} leaves the state set")
@@ -545,14 +527,15 @@ def eval_semantics(machine: PartialMealyMachine, state: str, word: Sequence[str]
 # assembling machines, and disjoint unions
 
 
-def assemble(like, name: str, items: Iterable[tuple[str, Successors]]):
+def assemble(like, name: str, items: Iterable[tuple[str, Successors]], total: bool = False):
     """A machine of `like`'s kind and alphabets with the given states, in
-    order, each with its successor structure over those states."""
+    order, each with its successor structure over those states.  `total`
+    declares a Mealy machine total; other kinds ignore it."""
     items = list(items)
     states = tuple(state for state, _ in items)
     if isinstance(like, PartialMealyMachine):
         delta = {(x, i): e for x, t in items for i, e in t.defined()}
-        return PartialMealyMachine(name, like.inputs, like.outputs, states, delta)
+        return PartialMealyMachine(name, like.inputs, like.outputs, states, delta, total)
     if isinstance(like, SuspensionAutomaton):
         din = {(x, a): r for x, t in items for a, r in t.defined_inputs()}
         dout = {(x, o): r for x, t in items for o, r in t.defined_outputs()}
@@ -585,7 +568,6 @@ def disjoint_union(first, second, *rest):
         first,
         "+".join(p.name for p in parts),
         [(r[s], map_structure(p.successors(s), r)) for p, r in zip(parts, renames) for s in p.states],
+        isinstance(first, PartialMealyMachine) and all(p.total for p in parts),
     )
-    if isinstance(first, PartialMealyMachine) and all(p.total for p in parts):
-        combined = replace(combined, total=True)
     return combined, renames

@@ -10,10 +10,9 @@ forced identifications and looking for an output clash.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import ContractError, ValidationError
+from .errors import ContractError, Record, ValidationError
 from .machines import (
     PartialMealyMachine,
     SuspensionAutomaton,
@@ -30,8 +29,7 @@ Machine = Union[PartialMealyMachine, SuspensionAutomaton]
 KINDS = ("strict", "lax", "oplax")
 
 
-@dataclass(frozen=True)
-class StateMap:
+class StateMap(Record):
     """A total map between the state sets of two machines over shared
     alphabets."""
 
@@ -40,8 +38,8 @@ class StateMap:
     mapping: Mapping[str, str]
     name: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", dict(self.mapping))
+    def _check(self):
+        vars(self)["mapping"] = dict(self.mapping)
         _same_shape(self.source, self.target, "StateMap")
         mapping, target = self.mapping, self.target.index
         if mapping.keys() == self.source.index.keys() and target.keys() >= set(mapping.values()):
@@ -59,8 +57,7 @@ class StateMap:
         return self.mapping[state]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One point where a morphism check fails: the source state, whether
     the offending symbol is an input or an output, and the symbol."""
 
@@ -70,8 +67,7 @@ class Violation:
     note: str
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(Record):
     kind: str
     violations: tuple[Violation, ...]
 
@@ -136,8 +132,7 @@ def restrict_along(h: StateMap) -> PartialMealyMachine:
 # merging two states by a lax map
 
 
-@dataclass(frozen=True)
-class MergeStep:
+class MergeStep(Record):
     """One forced identification, with the input word that forced it
     (empty for the requested pair itself)."""
 
@@ -146,8 +141,7 @@ class MergeStep:
     word: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(Record):
     """Merging the requested pair forces two states with a common input but
     different outputs into the same class, so no lax map whatsoever can
     identify the pair.
@@ -170,8 +164,7 @@ class Conflict:
     word: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(Record):
     """The merged machine and the projection onto it; the projection is a
     lax morphism identifying the requested pair."""
 

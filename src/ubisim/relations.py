@@ -8,13 +8,12 @@ the fixpoint engines compute it; its set of name pairs is built on read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import Record, ValidationError
 
 Ref = Hashable
 
@@ -27,8 +26,7 @@ def _bits(row: int) -> bytes:
     return bin(row)[:1:-1].encode().translate(_BITS)
 
 
-@dataclass(frozen=True, init=False)
-class Relation:
+class Relation(Record):
     """A set of ordered pairs between two finite carriers.
 
     Carriers are ordered tuples of distinct elements (declaration order),

@@ -21,10 +21,9 @@ states over pairs of successors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .errors import ContractError
+from .errors import ContractError, Record
 from .machines import (
     MealySuccessors,
     PartialMealyMachine,
@@ -32,6 +31,7 @@ from .machines import (
     SuspensionAutomaton,
     _MEALY_OR_SA,
     _check_carriers,
+    _same_kind,
     _same_shape,
     _tables_of,
     assemble,
@@ -84,8 +84,7 @@ def check_simulation(rel: Relation, src: Machine, dst: Machine, style: str = "hj
 # span witnesses
 
 
-@dataclass(frozen=True)
-class SimulationWitness:
+class SimulationWitness(Record):
     """A simulation relation together with an optional span structure: a
     one-step behaviour over the relation's pairs whose projections realize
     the declared style (hj: left oplax, right lax; openmap: left strict,
@@ -95,10 +94,10 @@ class SimulationWitness:
     structure: Optional[Mapping[tuple[str, str], MealySuccessors | SaSuccessors]]
     style: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "style", _style(self.style))
+    def _check(self):
+        vars(self)["style"] = _style(self.style)
         if self.structure is not None:
-            object.__setattr__(self, "structure", dict(self.structure))
+            vars(self)["structure"] = dict(self.structure)
 
 
 def witness_violations(w: SimulationWitness, src: Machine, dst: Machine) -> list[str]:
@@ -114,11 +113,16 @@ def witness_violations(w: SimulationWitness, src: Machine, dst: Machine) -> list
         if struct is None:
             problems.append(f"no structure for pair {pair}")
             continue
+        csrc = src.successors(pair[0])
+        try:
+            _same_kind(struct, csrc, "witness_violations")
+        except ContractError:
+            problems.append(f"structure of {pair} is not a {type(csrc).__name__} over the machines' alphabets")
+            continue
         for ref in struct.refs():
             if ref not in w.relation:
                 problems.append(f"structure of {pair} leaves the relation at {ref}")
         left, right = (map_structure(struct, {r: r[k] for r in struct.refs()}) for k in (0, 1))
-        csrc = src.successors(pair[0])
         if w.style == "openmap":  # strict: below and above
             if not (order_leq(csrc, left) and order_leq(left, csrc)):
                 problems.append(f"left projection not strict at {pair}")
@@ -153,8 +157,7 @@ def hj_to_openmap(w: SimulationWitness, src: Machine, dst: Machine) -> Simulatio
 # span structure synthesis
 
 
-@dataclass(frozen=True)
-class SpanFailure:
+class SpanFailure(Record):
     pair: tuple[str, str]
     symbol: str
     reason: str  # "output-mismatch" or "successor-missing"
@@ -240,8 +243,7 @@ def _joint(m: Machine, x: str, y: str, related):
 # joint simulators
 
 
-@dataclass(frozen=True)
-class JointSimulator:
+class JointSimulator(Record):
     """A synthesized machine with a state that simulates both requested
     states, together with the two simulation relations and span witnesses
     certifying them."""

@@ -29,10 +29,9 @@ produces a canonical form that `parse` maps back to the same document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .errors import ParseError, UbisimError, ValidationError
+from .errors import ParseError, Record, UbisimError, ValidationError
 from .machines import PartialMealyMachine, SuspensionAutomaton, _MEALY_OR_SA, _tables_of
 from .relations import Relation
 
@@ -40,16 +39,14 @@ if TYPE_CHECKING:
     from .morphisms import StateMap
 
 
-@dataclass(frozen=True)
-class RelDecl:
+class RelDecl(Record):
     name: str
     left_machine: str
     right_machine: str
     relation: Relation
 
 
-@dataclass(frozen=True)
-class MapDecl:
+class MapDecl(Record):
     name: str
     source_machine: str
     target_machine: str
@@ -59,8 +56,7 @@ class MapDecl:
 Section = Union[PartialMealyMachine, SuspensionAutomaton, RelDecl, MapDecl]
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     sections: tuple[Section, ...]
 
     def machines(self) -> dict[str, Union[PartialMealyMachine, SuspensionAutomaton]]:

@@ -1,6 +1,5 @@
 import io
 import contextlib
-import dataclasses
 import errno
 import json
 import os
@@ -243,8 +242,8 @@ def test_cross_machine_answers_ignore_symbol_order(tmp_path):
             a, b = (random_partial_mealy(rng, rng.randint(1, 4), 3, 3, name=n) for n in "ab")
         else:
             a, b = (random_sa(rng, rng.randint(1, 4), ("i", "j"), ("u", "v", "w"), name=n) for n in "ab")
-        shuffled = dataclasses.replace(b, inputs=rng.sample(b.inputs, len(b.inputs)),
-                                       outputs=rng.sample(b.outputs, len(b.outputs)))
+        shuffled = b.replace(inputs=rng.sample(b.inputs, len(b.inputs)),
+                             outputs=rng.sample(b.outputs, len(b.outputs)))
         plain, mixed = tmp_path / f"plain{draw}.txt", tmp_path / f"mixed{draw}.txt"
         plain.write_text(render(Document((a, b))))
         mixed.write_text(render(Document((a, shuffled))))

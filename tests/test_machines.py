@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 
@@ -13,6 +12,7 @@ from helpers import (
     quadruple,
     random_partial_mealy,
     random_sa,
+    random_total_mealy,
     sa_pair,
     words_up_to,
 )
@@ -219,24 +219,40 @@ def test_replace_builds_new_tables():
         delta = {
             key: (o, rng.choice(m.states)) for key, (o, _) in m.delta.items() if rng.random() < 0.7
         }
-        changed = dataclasses.replace(m, delta=delta)
+        changed = m.replace(delta=delta)
         assert changed.tables()[0] is not m.tables()[0]
         assert_mealy_tables(changed)
     for a in random_automata()[:50]:
         flipped = {key: rng.choice(a.states) for key in a.din}
-        changed = dataclasses.replace(a, din=flipped, dout={(s, a.outputs[0]): s for s in a.states})
+        changed = a.replace(din=flipped, dout={(s, a.outputs[0]): s for s in a.states})
         assert changed.tables()[0] is not a.tables()[0]
         assert_sa_tables(changed)
 
 
+def test_replace_checks_the_copy():
+    # `replace` goes through the constructor: a copy is validated again,
+    # and only fields can change
+    _, q, _, _, _ = quadruple()
+    (src, i), (o, _) = next(iter(q.delta.items()))
+    with pytest.raises(ValidationError, match="transition to unknown state 'nowhere'"):
+        q.replace(delta={**q.delta, (src, i): (o, "nowhere")})
+    with pytest.raises(ValidationError, match="machine declared total but"):
+        q.replace(delta={}, total=True)
+    C, *_ = sa_pair()
+    with pytest.raises(ValidationError, match="blocking state"):
+        C.replace(dout={})
+    with pytest.raises(ValidationError, match="successor set of 'a' leaves the state set"):
+        PowersetSystem("n", ("a", "b"), {"a": {"b"}}).replace(states=("a",))
+    with pytest.raises(TypeError):
+        q.replace(index={})
+    assert q.replace() == q and q.replace() is not q
+    assert q.replace(name="other") == PartialMealyMachine("other", q.inputs, q.outputs, q.states, q.delta)
+
+
 def test_index_is_not_a_field():
-    assert [f.name for f in dataclasses.fields(PartialMealyMachine)] == [
-        "name", "inputs", "outputs", "states", "delta", "total"
-    ]
-    assert [f.name for f in dataclasses.fields(SuspensionAutomaton)] == [
-        "name", "inputs", "outputs", "states", "din", "dout"
-    ]
-    assert [f.name for f in dataclasses.fields(PowersetSystem)] == ["name", "states", "succ"]
+    assert PartialMealyMachine._fields == ("name", "inputs", "outputs", "states", "delta", "total")
+    assert SuspensionAutomaton._fields == ("name", "inputs", "outputs", "states", "din", "dout")
+    assert PowersetSystem._fields == ("name", "states", "succ")
     for m in _index_samples():
         assert "index" not in repr(m)
 
@@ -247,7 +263,7 @@ def test_input_index_numbers_inputs_in_order():
     for m in [*mealy_corpus(20), *quadruple()]:
         assert m.input_index == {i: k for k, i in enumerate(m.inputs)}
     _, q, _, _, _ = quadruple()
-    swapped = dataclasses.replace(q, inputs=tuple(reversed(q.inputs)))
+    swapped = q.replace(inputs=tuple(reversed(q.inputs)))
     assert swapped.input_index == {i: k for k, i in enumerate(reversed(q.inputs))}
 
 
@@ -261,11 +277,11 @@ def test_equal_machines_compare_equal():
 
 def test_replace_builds_a_fresh_index():
     _, q, _, _, _ = quadruple()
-    swapped = dataclasses.replace(q, states=tuple(reversed(q.states)))
+    swapped = q.replace(states=tuple(reversed(q.states)))
     assert swapped.index == {s: k for k, s in enumerate(reversed(q.states))}
     assert q.index == {s: k for k, s in enumerate(q.states)}
     C, _, _ = sa_pair()
-    grown = dataclasses.replace(C, states=C.states + ("extra",), dout={**C.dout, ("extra", C.outputs[0]): "extra"})
+    grown = C.replace(states=C.states + ("extra",), dout={**C.dout, ("extra", C.outputs[0]): "extra"})
     assert grown.index["extra"] == len(C.states)
     assert "extra" not in C.index
 
@@ -504,7 +520,7 @@ def test_union_of_permuted_alphabets():
     assert (combined.inputs, combined.outputs) == (("i", "j"), ("x", "y"))
     assert combined.delta == {("a.s", "i"): ("x", "a.s"), ("b.t", "i"): ("y", "b.t"), ("b.t", "j"): ("x", "b.t")}
     C, *_ = sa_pair()
-    flipped = dataclasses.replace(C, name="F", inputs=C.inputs[::-1], outputs=C.outputs[::-1])
+    flipped = C.replace(name="F", inputs=C.inputs[::-1], outputs=C.outputs[::-1])
     combined, (rc, rf) = disjoint_union(C, flipped)
     assert (combined.inputs, combined.outputs) == (C.inputs, C.outputs)
     for x in C.states:
@@ -562,7 +578,26 @@ def test_union_of_total_machines_stays_total():
     a = PartialMealyMachine("a", ("i",), ("o",), ("s",), {("s", "i"): ("o", "s")}, total=True)
     b = PartialMealyMachine("b", ("i",), ("o",), ("t",), {("t", "i"): ("o", "t")}, total=True)
     assert disjoint_union(a, b)[0].total
-    assert not disjoint_union(a, dataclasses.replace(b, total=False))[0].total
+    assert not disjoint_union(a, b.replace(total=False))[0].total
+    assert not disjoint_union(b.replace(total=False), a)[0].total
+
+
+def test_union_of_total_machines_is_built_total():
+    # the union of total machines is declared total when it is built, and
+    # so checked once, by the constructor
+    rng = random.Random(4)
+    machines = [random_total_mealy(rng, rng.randint(1, 5), 2, 2, name) for name in "abcde"]
+    for first, second, third in zip(machines, machines[1:], machines[2:]):
+        combined, renames = disjoint_union(first, second, third)
+        assert combined.total
+        assert combined == PartialMealyMachine(combined.name, combined.inputs, combined.outputs, combined.states,
+                                               combined.delta, True)
+        assert len(combined.delta) == sum(len(m.delta) for m in (first, second, third))
+    a = machines[0]
+    items = [(s, a.successors(s)) for s in a.states]
+    assert assemble(a, "t", items, total=True).total and not assemble(a, "p", items).total
+    with pytest.raises(ValidationError, match="machine declared total but"):
+        assemble(a, "t", items[:-1] + [(a.states[-1], MealySuccessors(a.inputs, (None,) * len(a.inputs)))], total=True)
 
 
 def test_distinct_names_examples():
@@ -637,8 +672,8 @@ KIND_SAMPLES = {
     "mealy-b": PartialMealyMachine("m2", ("b",), ("x",), ("s", "t"), {}),
     "sa-y": SuspensionAutomaton("c2", ("a",), ("y",), ("s", "t"), {}, {("s", "y"): "s", ("t", "y"): "t"}),
 }
-KIND_SAMPLES["mealy-ba"] = dataclasses.replace(KIND_SAMPLES["mealy"], inputs=("b", "a"))
-KIND_SAMPLES["sa-yx"] = dataclasses.replace(KIND_SAMPLES["sa"], outputs=("y", "x"))
+KIND_SAMPLES["mealy-ba"] = KIND_SAMPLES["mealy"].replace(inputs=("b", "a"))
+KIND_SAMPLES["sa-yx"] = KIND_SAMPLES["sa"].replace(outputs=("y", "x"))
 M, S, P = "PartialMealyMachine 'm'", "SuspensionAutomaton 'c'", "PowersetSystem 'w'"
 EITHER = "needs a PartialMealyMachine or SuspensionAutomaton, got"
 IDENTITY, SAME = Relation.identity(("s", "t")), {"s": "s", "t": "t"}
@@ -731,7 +766,7 @@ def test_kind_matrix(operation):
 # relation whose left or right carrier holds a state the machine lacks; the
 # two-machine operations relate m to a renamed copy, so that each side's
 # message names its own machine
-TWIN = dataclasses.replace(KIND_SAMPLES["mealy"], name="twin")
+TWIN = KIND_SAMPLES["mealy"].replace(name="twin")
 CARRIER_CHECKED = {
     "simulation_violation": lambda rel, m: simulation_violation(rel, m, TWIN),
     "witness_violations": lambda rel, m: witness_violations(SimulationWitness(rel, None, "hj"), m, TWIN),

@@ -120,15 +120,17 @@ def test_unknown_name_raises_attribute_error():
 
 SRC = str(Path(ubisim.__file__).resolve().parents[1])
 
-# run in a fresh interpreter; prints the ubisim modules and `logging` that
-# the body loaded, after whatever the interpreter loaded at start-up
+# run in a fresh interpreter; prints the ubisim modules that the body
+# loaded, after whatever the interpreter loaded at start-up, and any of the
+# standard modules that no entry point needs: `logging`, and `dataclasses`
+# and `inspect`, which would cost each CLI process about 15 ms
 LOAD_SET = """
 import contextlib, io, json, sys
 sys.path.insert(0, {src!r})
 before = set(sys.modules)
 {body}
 print(json.dumps(sorted(m for m in set(sys.modules) - before
-                        if m.split(".")[0] in ("ubisim", "logging"))))
+                        if m.split(".")[0] in ("ubisim", "logging", "dataclasses", "inspect"))))
 """
 
 
@@ -159,7 +161,7 @@ def test_check_loads_only_the_parser_and_bisim():
     loaded = loaded_by(cli_run(["check", "uncertain", path, "m:p", "m:q"]))
     assert loaded == PARSING | {"ubisim.bisim"}
     assert not {"ubisim.learning", "ubisim.simulation", "ubisim.lifting", "ubisim.morphisms",
-                "logging"} & loaded
+                "logging", "dataclasses", "inspect"} & loaded
 
 
 def test_simulate_loads_only_the_parser_and_simulation():

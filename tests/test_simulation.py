@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,9 @@ from ubisim import (
     JointSimulator,
     MealySuccessors,
     PartialMealyMachine,
+    PowSuccessors,
     Relation,
+    SaSuccessors,
     SimulationWitness,
     SpanFailure,
     SuspensionAutomaton,
@@ -308,6 +311,25 @@ def test_witness_violations_name_each_problem():
         "left projection not strict at ('u', 'w')",
         "right projection not lax at ('u', 'w')",
     ]
+
+
+def test_witness_violations_name_a_structure_of_another_alphabet_or_kind():
+    # a structure over ("i", "k") between machines over ("i",), or of
+    # another kind, is a listed problem of its pair
+    src = PartialMealyMachine("s", ("i",), ("o",), ("u",), {("u", "i"): ("o", "u")})
+    dst = PartialMealyMachine("d", ("i",), ("o",), ("w",), {("w", "i"): ("o", "w")})
+    rel = Relation(("u",), ("w",), {("u", "w")})
+    for struct in (MealySuccessors(("i", "k"), (("o", ("u", "w")), None)),
+                   MealySuccessors(("k",), (("o", ("u", "w")),)),
+                   SaSuccessors(("i",), ("o",), (("u", "w"),), (("u", "w"),)),
+                   PowSuccessors({("u", "w")})):
+        w = SimulationWitness(rel, {("u", "w"): struct}, "hj")
+        problem = "structure of ('u', 'w') is not a MealySuccessors over the machines' alphabets"
+        assert witness_violations(w, src, dst) == [problem]
+        with pytest.raises(ContractError, match=re.escape(f"witness does not validate: {problem}")):
+            hj_to_openmap(w, src, dst)
+    valid = MealySuccessors(("i",), (("o", ("u", "w")),))
+    assert witness_violations(SimulationWitness(rel, {("u", "w"): valid}, "hj"), src, dst) == []
 
 
 def test_span_witness_across_permuted_inputs():

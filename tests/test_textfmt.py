@@ -2,7 +2,6 @@ import contextlib
 import io
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -266,12 +265,12 @@ def corpus_document(seed):
     rng = random.Random(seed)
     sections = []
     for k, m in enumerate(mealy_corpus(4, seed)):
-        m = replace(m, name=f"m{k}")
+        m = m.replace(name=f"m{k}")
         sections += [m, RelDecl(f"u{k}", m.name, m.name, uncertain_bisimilarity(m))]
     sections += [random_sa(rng, rng.randint(1, 5), name=f"a{k}") for k in range(2)]
     for k in range(2):
         h = random_lax_map(rng)
-        src, tgt = replace(h.source, name=f"c{k}"), replace(h.target, name=f"d{k}")
+        src, tgt = h.source.replace(name=f"c{k}"), h.target.replace(name=f"d{k}")
         statemap = StateMap(src, tgt, h.mapping, name=f"h{k}")
         graph = Relation(src.states, tgt.states, h.mapping.items())
         sections += [src, tgt, MapDecl(f"h{k}", src.name, tgt.name, statemap),

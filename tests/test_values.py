@@ -170,3 +170,26 @@ def test_machine_attributes_stay_out_of_equality_and_repr():
     tree = SAMPLES[ObservationTree][0].as_machine()
     assert tree == PartialMealyMachine(tree.name, tree.inputs, tree.outputs, tree.states, tree.delta)
     assert tree.tables() == PartialMealyMachine(*(getattr(tree, f) for f in SAMPLES[PartialMealyMachine][1])).tables()
+
+
+def test_fields_bind_by_position_or_name():
+    assert PartialMealyMachine(states=MEALY.states, delta=MEALY.delta, name="m", inputs=MEALY.inputs,
+                               outputs=MEALY.outputs) == MEALY
+    assert PartialMealyMachine("m", MEALY.inputs, MEALY.outputs, MEALY.states, MEALY.delta, total=False) == MEALY
+    assert StateMap(MEALY, MEALY, {"s": "s", "t": "t"}).name == ""
+    assert TreeConflict(word=("a", "b")) == SAMPLES[TreeConflict][0]
+    for args, kwargs in [((), {}), (("s", "t"), {}), (("s", "t", (), ()), {}), (("s", "t"), {"words": ()}),
+                         (("s", "t", ()), {"left": "s"})]:
+        with pytest.raises(TypeError):
+            MergeStep(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cls", [cls for cls in SAMPLES if cls not in (Relation, ObservationTree)],
+                         ids=lambda cls: cls.__name__)
+def test_replace_rebuilds_through_the_constructor(cls):
+    value, fields = SAMPLES[cls]
+    assert value.replace() == value and value.replace() is not value
+    for name in fields:
+        assert getattr(value.replace(**{name: getattr(value, name)}), name) == getattr(value, name)
+    with pytest.raises(TypeError):
+        value.replace(no_such_field=None)
