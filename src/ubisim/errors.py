@@ -6,7 +6,8 @@ from operator import attrgetter
 
 class Record:
     """An immutable value whose fields are its class's annotated names, in
-    order, with the class attributes of those names as defaults.
+    order and after its base's, with the class attributes of those names
+    as defaults.
 
     The constructor takes the fields by position or by name and stores
     them, then calls `_check`, which a class overrides to normalize and
@@ -24,8 +25,9 @@ class Record:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        fields = cls._fields = tuple(vars(cls).get("__annotations__", ()))
-        cls._defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
+        own = tuple(vars(cls).get("__annotations__", ()))
+        fields = cls._fields = cls._fields + own  # a base's fields come first
+        cls._defaults = {**cls._defaults, **{name: vars(cls)[name] for name in own if name in vars(cls)}}
         cls._values = attrgetter(*fields)  # a tuple of the fields; a lone field as it is
 
     def __init__(self, *args, **kwargs):

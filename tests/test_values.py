@@ -82,6 +82,10 @@ HASHABLE = {MealySuccessors, SaSuccessors, PowSuccessors, Relation, RelDecl, Apa
             MorphismReport, MergeStep, Conflict, SpanFailure, TreeConflict}
 
 
+class Step(MergeStep):
+    """A subclass that declares no fields of its own."""
+
+
 def rebuilt(value):
     """An equal copy of `value`, built anew through its constructor."""
     if isinstance(value, Relation):
@@ -193,3 +197,10 @@ def test_replace_rebuilds_through_the_constructor(cls):
         assert getattr(value.replace(**{name: getattr(value, name)}), name) == getattr(value, name)
     with pytest.raises(TypeError):
         value.replace(no_such_field=None)
+
+
+def test_a_subclass_keeps_the_fields_but_compares_apart():
+    step = Step("s", "t", ())
+    assert repr(step) == "Step(left='s', right='t', word=())"
+    assert step == Step("s", "t", ()) and hash(step) == hash(Step("s", "t", ()))
+    assert step != STEP and STEP != step
