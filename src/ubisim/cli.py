@@ -91,6 +91,12 @@ def _witness_line(w: ubisim.ApartnessWitness) -> str:
     return "APART " + " ".join(w.word) + f" {w.left_output} {w.right_output}"
 
 
+def _print_violations(report) -> int:
+    for v in report.violations:
+        print(f"VIOLATION {v.state} {v.side} {v.symbol}")
+    return 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -107,21 +113,13 @@ def _cmd_witness(args) -> int:
     return 1
 
 
-def _cmd_bisim(args) -> int:
+def _cmd_relation(args) -> int:
+    """`bisim` and `ioco-compat`: the relation that `args.relation` names,
+    under a heading spelled from that name."""
     doc = _read(args.file)
     machine = _named(doc.machines(), args.machine, "machine")
-    rel = _cli.bisimilarity(machine)
-    print(f"BISIMILARITY {machine.name} {len(rel)}")
-    for x, y in rel.ordered_pairs():
-        print(f"pair {x} {y}")
-    return 0
-
-
-def _cmd_ioco_compat(args) -> int:
-    doc = _read(args.file)
-    machine = _named(doc.machines(), args.machine, "machine")
-    rel = _cli.ioco_compatibility(machine)
-    print(f"IOCO-COMPATIBILITY {machine.name} {len(rel)}")
+    rel = getattr(_cli, args.relation)(machine)
+    print(f"{args.relation.upper().replace('_', '-')} {machine.name} {len(rel)}")
     for x, y in rel.ordered_pairs():
         print(f"pair {x} {y}")
     return 0
@@ -133,9 +131,7 @@ def _cmd_morphism(args) -> int:
     if report.ok:
         print("OK")
         return 0
-    for v in report.violations:
-        print(f"VIOLATION {v.state} {v.side} {v.symbol}")
-    return 1
+    return _print_violations(report)
 
 
 def _cmd_identify(args) -> int:
@@ -171,9 +167,7 @@ def _cmd_restrict(args) -> int:
     statemap = _named(doc.maps(), args.map, "map").statemap
     report = _cli.check_morphism(statemap, "oplax")
     if not report.ok:
-        for v in report.violations:
-            print(f"VIOLATION {v.state} {v.side} {v.symbol}")
-        return 1
+        return _print_violations(report)
     _print_machine(_cli.restrict_along(statemap))
     return 0
 
@@ -240,12 +234,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bisim", help="bisimilarity relation of a machine")
     p.add_argument("file")
     p.add_argument("machine")
-    p.set_defaults(func=_cmd_bisim)
+    p.set_defaults(func=_cmd_relation, relation="bisimilarity")
 
     p = sub.add_parser("ioco-compat", help="compatibility relation of a suspension automaton")
     p.add_argument("file")
     p.add_argument("machine")
-    p.set_defaults(func=_cmd_ioco_compat)
+    p.set_defaults(func=_cmd_relation, relation="ioco_compatibility")
 
     p = sub.add_parser("morphism", help="check a state map as a morphism")
     p.add_argument("file")
@@ -273,7 +267,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="check a declared relation as a simulation")
     p.add_argument("file")
     p.add_argument("rel")
-    p.add_argument("--style", choices=["hj", "openmap"], default="hj")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("learn-demo", help="run output queries and show the observation tree")

@@ -69,14 +69,10 @@ def simulation_violation(
     return None
 
 
-def check_simulation(rel: Relation, src: Machine, dst: Machine, style: str = "hj") -> bool:
-    """Decide whether `rel` is a simulation from src into dst.
-
-    The style is accepted for symmetry with witness checking; on the
-    supported machine kinds both styles carve out the same relations, so
-    it does not influence the verdict.
-    """
-    _style(style)
+def check_simulation(rel: Relation, src: Machine, dst: Machine) -> bool:
+    """Decide whether `rel` is a simulation from src into dst.  Both span
+    styles carve out the same relations on the supported machine kinds, so
+    none is asked for: a style matters only to `witness_violations`."""
     return simulation_violation(rel, src, dst) is None
 
 

@@ -93,9 +93,8 @@ def test_a02_conflict_tree_gap():
 
     joint = joint_simulator(m, "p", "q")
     assert isinstance(joint, JointSimulator)
-    for style in ("hj", "openmap"):
-        assert check_simulation(joint.left, m, joint.machine, style=style)
-        assert check_simulation(joint.right, m, joint.machine, style=style)
+    assert check_simulation(joint.left, m, joint.machine)
+    assert check_simulation(joint.right, m, joint.machine)
     assert witness_violations(joint.left_witness, m, joint.machine) == []
     assert witness_violations(joint.right_witness, m, joint.machine) == []
     # compatible and jointly simulated, yet not identifiable by any lax
@@ -196,8 +195,7 @@ def test_a07_joint_simulator_characterization():
                     continue
                 assert isinstance(joint, JointSimulator)
                 for side in (joint.left, joint.right):
-                    assert check_simulation(side, m, joint.machine, style="hj")
-                    assert check_simulation(side, m, joint.machine, style="openmap")
+                    assert check_simulation(side, m, joint.machine)
                 for w in (joint.left_witness, joint.right_witness):
                     assert witness_violations(w, m, joint.machine) == []
                     om = hj_to_openmap(w, m, joint.machine)

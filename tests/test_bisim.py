@@ -34,7 +34,7 @@ from ubisim import (
     semantic_oracle_uncertain,
     uncertain_bisimilarity,
 )
-from ubisim.lifting import _shrink_rounds
+from ubisim.lifting import _refuses, _shrink_rounds
 
 # ---------------------------------------------------------------------------
 # the defining clauses, restated for the round-based fixpoint: each says
@@ -418,6 +418,33 @@ def test_ioco_rounds_cascade():
     assert ("2", "6") in rounds[0] and ("2", "6") not in rounds[1]
     assert ("1", "4") in rounds[1] and ("1", "4") not in rounds[2]
     assert rounds[-1] == ioco_compatibility(C).pairs
+
+
+def test_ioco_is_uncertain_bisimilarity_on_suspension_automata():
+    # the paper's instantiation: ioco compatibility is the greatest fixpoint
+    # of the uncertain lifting of suspension structures, and an uncertain
+    # bisimulation; the references above restate the ioco clauses instead
+    rng = random.Random(2023)
+    for k in range(200):
+        alphabets = {} if k % 2 else {"inputs": ("a", "b"), "outputs": ("u", "v", "w")}
+        a = random_sa(rng, rng.randint(1, 7), **alphabets)
+        compatible = ioco_compatibility(a)
+        # `_refuses` takes the violation from `_uncertain_linked` on a's successors
+        assert compatible.pairs == rounds_fixpoint(a.states, _refuses(a)), a
+        assert relation_is_uncertain_bisimulation(a, compatible), a
+
+
+def test_ioco_relation_without_partners_is_no_uncertain_bisimulation():
+    # x moves on input a to z and y does not: the ioco clause asks nothing
+    # of z, the uncertain lifting asks z for a partner
+    a = SuspensionAutomaton("t", ("a",), ("o",), ("x", "y", "z"), {("x", "a"): "z"},
+                            {(s, "o"): s for s in ("x", "y", "z")})
+    one_sided = Relation.square(a.states, {("x", "y")})
+    assert relation_is_ioco_compatibility(a, one_sided)
+    assert not relation_is_uncertain_bisimulation(a, one_sided)
+    partnered = Relation.square(a.states, {("x", "y"), ("z", "z")})
+    assert relation_is_ioco_compatibility(a, partnered)
+    assert relation_is_uncertain_bisimulation(a, partnered)
 
 
 def test_ioco_non_transitive_regression():

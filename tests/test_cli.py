@@ -1,6 +1,7 @@
 import io
 import contextlib
 import errno
+import itertools
 import json
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 import ubisim
 import ubisim.cli as cli
 from helpers import fixture_path, random_partial_mealy, random_sa
-from ubisim import Document, render
+from ubisim import Document, PartialMealyMachine, eval_semantics, render
 from ubisim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,7 +102,7 @@ def test_unknown_state_exit_code():
     (["learn-demo", "--hidden", "{lax_chain}:zzz", "--queries", "i"], "no machine named 'zzz' in the file"),
     (["morphism", "{lax_chain}", "zzz", "--kind", "lax"], "no map named 'zzz' in the file"),
     (["restrict", "{lax_chain}", "zzz"], "no map named 'zzz' in the file"),
-    (["simulate", "{quadruple}", "zzz", "--style", "hj"], "no relation named 'zzz' in the file"),
+    (["simulate", "{quadruple}", "zzz"], "no relation named 'zzz' in the file"),
 ])
 def test_unknown_name_exit_code(capsys, argv, message):
     code, out = run_cli([tok.format(**PATHS) for tok in argv])
@@ -167,6 +168,27 @@ def test_unknown_state_before_the_union(tmp_path, capsys):
     ]:
         assert run_cli(argv) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_simulate_takes_no_style(capsys):
+    argv = ["simulate", PATHS["quadruple"], "sim_q_p", "--style", "hj"]
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ubisim ")
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "ubisim: error: unrecognized arguments: --style hj"]
+
+
+def test_double_dash_before_names_that_begin_with_a_dash(tmp_path, capsys):
+    # argparse reads "-h:1" and "-h" as options; after "--" they are names
+    path = tmp_path / "dash.txt"
+    path.write_text("mealy -h\ninputs i\noutputs x y\nstates 1 2\ntrans 1 i x 1\ntrans 2 i y 2\n")
+    assert run_cli(["witness", str(path), "-h:1", "-h:2"]) == (2, "")
+    assert "error: argument -h/--help" in capsys.readouterr().err
+    code, out = run_cli(["bisim", str(path), "-h"])
+    assert code == 0 and out.startswith("usage: ubisim bisim ")
+    assert run_cli(["witness", str(path), "--", "-h:1", "-h:2"]) == (1, "APART i x y\n")
+    assert run_cli(["bisim", str(path), "--", "-h"]) == (0, "BISIMILARITY -h 2\npair 1 1\npair 2 2\n")
 
 
 def test_machine_names_holding_colons(tmp_path, capsys):
@@ -255,6 +277,57 @@ def test_cross_machine_answers_ignore_symbol_order(tmp_path):
                     assert run_cli([*command, str(mixed), f"a:{x}", f"b:{y}"]) == answer, (draw, command, x, y)
                     mealy_only = command != ["join"]
                     assert answer[0] in (0, 1) or mealy_only and isinstance(a, ubisim.SuspensionAutomaton)
+
+
+# names the text format allows that look like the CLI's own notation:
+# union prefixes, quotient classes, joint pairs, primes, the tree root and
+# machine-state addresses
+LAW_NAMES = ("a.b", "a+b", "(a|b)", "x'", "ε", "p:q")
+
+
+def test_laws_through_the_cli_text(tmp_path):
+    # on every pair of states of random documents, the printed answers keep
+    # the laws: apart exactly when a witness word exists, which replays to
+    # the printed outputs, a joint simulator exactly for compatible pairs,
+    # and a lax quotient and bisimilarity each imply compatibility
+    rng = random.Random(23)
+    seen = set()
+    for draw in range(30):
+        machines = []
+        for name in rng.sample(LAW_NAMES, rng.randint(1, 2)):
+            states = tuple(rng.sample(LAW_NAMES, rng.randint(1, 3 - len(machines))))
+            delta = {(s, i): (rng.choice("xy"), rng.choice(states))
+                     for s in states for i in "ij" if rng.random() < 0.7}
+            machines.append(PartialMealyMachine(name, ("i", "j"), ("x", "y"), states, delta))
+        path = tmp_path / f"laws{draw}.txt"
+        path.write_text(render(Document(tuple(machines))), encoding="utf-8")
+        file = str(path)
+        compatible = set()
+        located = {f"{m.name}:{s}": (m, s) for m in machines for s in m.states}
+        for a, b in itertools.combinations_with_replacement(located, 2):
+            verdict = run_cli(["check", "uncertain", file, a, b])
+            assert verdict in ((0, "UNCERTAIN-BISIMILAR\n"), (1, "APART\n")), (draw, a, b)
+            apart = verdict[0] == 1
+            witness = run_cli(["witness", file, a, b])
+            assert witness[1].startswith("APART ") == apart, (draw, a, b, witness)
+            if apart:
+                *word, left, right = witness[1].split()[1:]
+                assert eval_semantics(*located[a], word) == left and eval_semantics(*located[b], word) == right
+            assert (run_cli(["join", file, a, b])[0] == 0) != apart, (draw, a, b)
+            quotient = run_cli(["identify", file, a, b])[1].startswith("QUOTIENT\n")
+            assert not (quotient and apart), (draw, a, b)
+            seen.update({("apart", apart), ("quotient", quotient)})
+            if not apart:
+                compatible.update({(a, b), (b, a)})
+        for m in machines:
+            code, out = run_cli(["bisim", file, m.name])
+            heading, *pairs = out.splitlines()
+            assert code == 0 and heading == f"BISIMILARITY {m.name} {len(pairs)}"
+            for line in pairs:
+                _, x, y = line.split(" ")
+                assert (f"{m.name}:{x}", f"{m.name}:{y}") in compatible, (draw, line)
+    # each law is met on both sides, not only vacuously
+    assert seen == {("apart", True), ("apart", False), ("quotient", True), ("quotient", False)}
 
 
 # The names bench/worker.py (CLI_CALLS) rebinds on `ubisim.cli` to trace

@@ -165,7 +165,7 @@ def test_check_loads_only_the_parser_and_bisim():
 
 
 def test_simulate_loads_only_the_parser_and_simulation():
-    argv = ["simulate", fixture_path("quadruple.txt"), "sim_q_p", "--style", "hj"]
+    argv = ["simulate", fixture_path("quadruple.txt"), "sim_q_p"]
     loaded = loaded_by(cli_run(argv))
     assert loaded == PARSING | {"ubisim.simulation"}
     assert "ubisim.bisim" not in loaded

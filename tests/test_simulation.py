@@ -45,7 +45,7 @@ def test_quadruple_arrows():
     rels = fixture_doc("quadruple.txt").rels()
     p, q, r, s, _ = quadruple()
     assert check_simulation(rels["sim_q_p"].relation, q, p)
-    assert check_simulation(rels["sim_q_r"].relation, q, r, style="openmap")
+    assert check_simulation(rels["sim_q_r"].relation, q, r)
     assert check_simulation(rels["sim_s_r"].relation, s, r)
     assert not check_simulation(rels["sim_bad"].relation, r, q)
 
@@ -67,16 +67,15 @@ def test_sa_alternating_simulation_on_map_graph():
     C, D, h = sa_pair()
     graph = Relation(C.states, D.states, frozenset((s, h(s)) for s in C.states))
     assert check_simulation(graph, C, D)
-    assert check_simulation(graph, C, D, style="openmap")
 
 
 def test_style_validation():
-    m = conflict_machine()
-    with pytest.raises(ContractError):
-        check_simulation(Relation.identity(m.states), m, m, style="weird")
-    for alias in ("hughes-jacobs", "open-map"):
-        with pytest.raises(ContractError):
-            check_simulation(Relation.identity(m.states), m, m, style=alias)
+    # a span style is declared on a witness, and only there
+    identity = Relation.identity(conflict_machine().states)
+    for style in ("weird", "hughes-jacobs", "open-map"):
+        with pytest.raises(ContractError) as exc:
+            SimulationWitness(identity, None, style)
+        assert str(exc.value) == f"unknown simulation style '{style}'"
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +204,8 @@ def test_joint_on_conflict_pair_exists():
     assert isinstance(lax_identify(m, "p", "q"), Conflict)
     joint = joint_simulator(m, "p", "q")
     assert isinstance(joint, JointSimulator)
-    for style in ("hj", "openmap"):
-        assert check_simulation(joint.left, m, joint.machine, style=style)
-        assert check_simulation(joint.right, m, joint.machine, style=style)
+    assert check_simulation(joint.left, m, joint.machine)
+    assert check_simulation(joint.right, m, joint.machine)
     assert witness_violations(joint.left_witness, m, joint.machine) == []
     assert witness_violations(joint.right_witness, m, joint.machine) == []
 
@@ -227,9 +225,8 @@ def test_sa_joint_simulator():
     C, *_ = sa_pair()
     joint = joint_simulator(C, "2", "3")
     assert isinstance(joint, JointSimulator)
-    for style in ("hj", "openmap"):
-        assert check_simulation(joint.left, C, joint.machine, style=style)
-        assert check_simulation(joint.right, C, joint.machine, style=style)
+    assert check_simulation(joint.left, C, joint.machine)
+    assert check_simulation(joint.right, C, joint.machine)
     assert witness_violations(joint.left_witness, C, joint.machine) == []
     assert joint_simulator(C, "1", "6") is None
 
