@@ -5,6 +5,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +80,80 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _ = run_cli(["morphism", PATHS["lax_chain"], "g", "--kind", "weird"])
     assert code == 2
+
+
+# each subcommand in the order `ubisim --help` lists it, with its help
+# string and its usage line at 80 columns
+SUBCOMMANDS = (
+    ("check", "decide a compatibility relation between two states",
+     "usage: ubisim check [-h] {uncertain} file m:s1 m:s2"),
+    ("witness", "minimal separating word for two states", "usage: ubisim witness [-h] file m:s1 m:s2"),
+    ("bisim", "bisimilarity relation of a machine", "usage: ubisim bisim [-h] file machine"),
+    ("ioco-compat", "compatibility relation of a suspension automaton",
+     "usage: ubisim ioco-compat [-h] file machine"),
+    ("morphism", "check a state map as a morphism",
+     "usage: ubisim morphism [-h] --kind {strict,lax,oplax} file map"),
+    ("identify", "merge two states by a lax map, or show the conflict",
+     "usage: ubisim identify [-h] file m:s1 m:s2"),
+    ("join", "synthesize a joint simulator for two states", "usage: ubisim join [-h] file m:s1 m:s2"),
+    ("restrict", "shrink the source of an oplax map until it commutes", "usage: ubisim restrict [-h] file map"),
+    ("simulate", "check a declared relation as a simulation", "usage: ubisim simulate [-h] file rel"),
+    ("learn-demo", "run output queries and show the observation tree",
+     "usage: ubisim learn-demo [-h] --hidden file:machine --queries w1,w2,..."),
+)
+
+
+@pytest.mark.parametrize("command, usage", [(name, usage) for name, _, usage in SUBCOMMANDS])
+def test_subcommand_help(monkeypatch, capsys, command, usage):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = run_cli([command, "--help"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert out.splitlines()[0] == usage
+
+
+def test_help_lists_the_subcommands_in_order(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = run_cli(["--help"])
+    assert code == 0 and capsys.readouterr().err == ""
+    choices = "{" + ",".join(name for name, _, _ in SUBCOMMANDS) + "}"
+    listed = out.split(f"\n  {choices}\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.split(None, 1) for line in listed.splitlines()] == [[name, help] for name, help, _ in SUBCOMMANDS]
+
+
+# runs each argv through `ubisim.cli.main` in one fresh interpreter and
+# prints the exit code, stdout and stderr of each as JSON
+CALLS = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+from ubisim.cli import main
+runs = []
+for argv in {argvs!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append((code, out.getvalue(), err.getvalue()))
+print(json.dumps(runs))
+"""
+
+
+def test_calls_in_one_process_are_independent():
+    # each call answers in a process that ran other calls before it as it
+    # does when it runs first
+    argvs = [["morphism", PATHS["lax_chain"], "g", "--kind", "weird"],
+             ["bisim", PATHS["quadruple"], "p"],
+             ["ioco-compat", PATHS["sa_morphism"], "C"],
+             ["--help"]]
+    src = str(Path(ubisim.__file__).resolve().parents[1])
+
+    def calls(argvs):
+        script = CALLS.format(src=src, argvs=argvs)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                              env={**os.environ, "COLUMNS": "80"})
+        return json.loads(proc.stdout)
+
+    together = calls(argvs)
+    assert [code for code, _, _ in together] == [2, 0, 0, 0]
+    assert together == [run for argv in argvs for run in calls([argv])]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
