@@ -16,11 +16,16 @@ only in the handlers that run it: a handler reads those names as
 attributes of this module (`_cli.name`), which the module `__getattr__`
 resolves through the package's table on first use and keeps as globals.
 A name rebound on this module is therefore what the handlers call.
+
+The subcommands are the rows of one table, `_COMMANDS`; the argument
+parser built from it is made once per process and reused by every `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 
 import ubisim
@@ -72,11 +77,12 @@ def _address(machines: dict, addr: str):
     return machine, state
 
 
-def _resolve_pair(doc: Document, addr1: str, addr2: str):
-    """Resolve two state addresses to one machine and two of its states,
-    forming the disjoint union when they live in different machines."""
-    machines = doc.machines()
-    (left, s1), (right, s2) = _address(machines, addr1), _address(machines, addr2)
+def _resolve_pair(args):
+    """The machine and the two states that `args.state1` and `args.state2`
+    address in `args.file`: the disjoint union when they live in different
+    machines."""
+    machines = _read(args.file).machines()
+    (left, s1), (right, s2) = _address(machines, args.state1), _address(machines, args.state2)
     if left is right:
         return left, s1, s2
     combined, (ren1, ren2) = disjoint_union(left, right)
@@ -103,8 +109,7 @@ def _print_violations(report) -> int:
 
 def _cmd_witness(args) -> int:
     """`witness`, and `check uncertain`, which prints the verdict alone."""
-    doc = _read(args.file)
-    machine, x, y = _resolve_pair(doc, args.state1, args.state2)
+    machine, x, y = _resolve_pair(args)
     w = _cli.apartness_witness(machine, x, y)
     if w is None:
         print("UNCERTAIN-BISIMILAR")
@@ -135,8 +140,7 @@ def _cmd_morphism(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    doc = _read(args.file)
-    machine, x, y = _resolve_pair(doc, args.state1, args.state2)
+    machine, x, y = _resolve_pair(args)
     result = _cli.lax_identify(machine, x, y)
     if isinstance(result, _cli.Conflict):
         for step in result.merges:
@@ -149,8 +153,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_join(args) -> int:
-    doc = _read(args.file)
-    machine, x, y = _resolve_pair(doc, args.state1, args.state2)
+    machine, x, y = _resolve_pair(args)
     result = _cli.joint_simulator(machine, x, y)
     if isinstance(result, _cli.ApartnessWitness):
         print(_witness_line(result))
@@ -187,11 +190,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_learn_demo(args) -> int:
-    path, sep, name = args.hidden.rpartition(":")
-    if not sep or not path or not name:
+    # the file is the longest prefix before a ":" that is a file, else the text before the last ":"
+    files = [k for k, c in enumerate(args.hidden) if c == ":" and os.path.isfile(args.hidden[:k])]
+    k = max(files, default=args.hidden.rfind(":"))
+    path, name = args.hidden[:k], args.hidden[k + 1:]
+    if k <= 0 or not name:
         raise ValidationError(f"expected <file>:<machine>, got {args.hidden!r}")
-    doc = _read(path)
-    hidden = _named(doc.machines(), name, "machine")
+    hidden = _named(_read(path).machines(), name, "machine")
     teacher = _cli.Teacher(hidden, hidden.states[0])
     tree = _cli.ObservationTree.empty(hidden.inputs, hidden.outputs)
     for chunk in args.queries.split(","):
@@ -211,69 +216,43 @@ def _cmd_learn_demo(args) -> int:
 # parser
 
 
+_FILE = ("file", {})
+_PAIR = (_FILE, ("state1", {"metavar": "m:s1"}), ("state2", {"metavar": "m:s2"}))
+
+# each subcommand in `--help` order: name, help line, arguments as (name or flag, `add_argument`
+# keywords), handler, and the defaults the handler reads besides `func`
+_COMMANDS = (
+    ("check", "decide a compatibility relation between two states",
+     (("mode", {"choices": ["uncertain"]}), *_PAIR), _cmd_witness, {}),
+    ("witness", "minimal separating word for two states", _PAIR, _cmd_witness, {}),
+    ("bisim", "bisimilarity relation of a machine", (_FILE, ("machine", {})),
+     _cmd_relation, {"relation": "bisimilarity"}),
+    ("ioco-compat", "compatibility relation of a suspension automaton", (_FILE, ("machine", {})),
+     _cmd_relation, {"relation": "ioco_compatibility"}),
+    ("morphism", "check a state map as a morphism",
+     (_FILE, ("map", {}), ("--kind", {"choices": ["strict", "lax", "oplax"], "required": True})),
+     _cmd_morphism, {}),
+    ("identify", "merge two states by a lax map, or show the conflict", _PAIR, _cmd_identify, {}),
+    ("join", "synthesize a joint simulator for two states", _PAIR, _cmd_join, {}),
+    ("restrict", "shrink the source of an oplax map until it commutes", (_FILE, ("map", {})),
+     _cmd_restrict, {}),
+    ("simulate", "check a declared relation as a simulation", (_FILE, ("rel", {})), _cmd_simulate, {}),
+    ("learn-demo", "run output queries and show the observation tree",
+     (("--hidden", {"required": True, "metavar": "file:machine"}),
+      ("--queries", {"required": True, "metavar": "w1,w2,..."})), _cmd_learn_demo, {}),
+)
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="ubisim",
-        description="compatibility relations on partially observed state machines",
-    )
+        prog="ubisim", description="compatibility relations on partially observed state machines")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="decide a compatibility relation between two states")
-    p.add_argument("mode", choices=["uncertain"])
-    p.add_argument("file")
-    p.add_argument("state1", metavar="m:s1")
-    p.add_argument("state2", metavar="m:s2")
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("witness", help="minimal separating word for two states")
-    p.add_argument("file")
-    p.add_argument("state1", metavar="m:s1")
-    p.add_argument("state2", metavar="m:s2")
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("bisim", help="bisimilarity relation of a machine")
-    p.add_argument("file")
-    p.add_argument("machine")
-    p.set_defaults(func=_cmd_relation, relation="bisimilarity")
-
-    p = sub.add_parser("ioco-compat", help="compatibility relation of a suspension automaton")
-    p.add_argument("file")
-    p.add_argument("machine")
-    p.set_defaults(func=_cmd_relation, relation="ioco_compatibility")
-
-    p = sub.add_parser("morphism", help="check a state map as a morphism")
-    p.add_argument("file")
-    p.add_argument("map")
-    p.add_argument("--kind", choices=["strict", "lax", "oplax"], required=True)
-    p.set_defaults(func=_cmd_morphism)
-
-    p = sub.add_parser("identify", help="merge two states by a lax map, or show the conflict")
-    p.add_argument("file")
-    p.add_argument("state1", metavar="m:s1")
-    p.add_argument("state2", metavar="m:s2")
-    p.set_defaults(func=_cmd_identify)
-
-    p = sub.add_parser("join", help="synthesize a joint simulator for two states")
-    p.add_argument("file")
-    p.add_argument("state1", metavar="m:s1")
-    p.add_argument("state2", metavar="m:s2")
-    p.set_defaults(func=_cmd_join)
-
-    p = sub.add_parser("restrict", help="shrink the source of an oplax map until it commutes")
-    p.add_argument("file")
-    p.add_argument("map")
-    p.set_defaults(func=_cmd_restrict)
-
-    p = sub.add_parser("simulate", help="check a declared relation as a simulation")
-    p.add_argument("file")
-    p.add_argument("rel")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("learn-demo", help="run output queries and show the observation tree")
-    p.add_argument("--hidden", required=True, metavar="file:machine")
-    p.add_argument("--queries", required=True, metavar="w1,w2,...")
-    p.set_defaults(func=_cmd_learn_demo)
-
+    for name, help_line, arguments, func, defaults in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
+        p.set_defaults(func=func, **defaults)
     return parser
 
 

@@ -120,6 +120,13 @@ def test_help_lists_the_subcommands_in_order(monkeypatch, capsys):
     assert [line.split(None, 1) for line in listed.splitlines()] == [[name, help] for name, help, _ in SUBCOMMANDS]
 
 
+def test_readme_lists_the_subcommands_in_the_parsers_order():
+    # the `sh` block under "Command line" names each subcommand once
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("\n```sh\n", 1)[1].split("\n```", 1)[0]
+    assert [line.split()[:2] for line in block.splitlines()] == [["ubisim", name] for name, _, _ in SUBCOMMANDS]
+
+
 # runs each argv through `ubisim.cli.main` in one fresh interpreter and
 # prints the exit code, stdout and stderr of each as JSON
 CALLS = """
@@ -315,6 +322,33 @@ def test_learn_demo_with_dotted_inputs(tmp_path):
     assert "states ε i i.j i.j'\n" in out
     assert "trans i j x i.j'\n" in out and "trans ε i.j y i.j\n" in out
     assert out.endswith("queries 2\n")
+
+
+HIDDEN = "inputs i j\noutputs x y\nstates s t\ntrans s i x t\ntrans t i y s\ntrans s j y s\n"
+HIDDEN_TREE = (
+    "mealy tree\ninputs i j\noutputs x y\nstates ε i j i.i\n"
+    "trans ε i x i\ntrans ε j y j\ntrans i i y i.i\n"
+    "apart ε i\napart i ε\nqueries 2\n"
+)
+
+
+def test_learn_demo_names_a_machine_holding_colons(tmp_path, capsys):
+    # "--hidden FILE:p:q" names the machine "p:q" of FILE: the file is the
+    # longest prefix before a ":" that is a file
+    path = tmp_path / "colons.txt"
+    path.write_text(f"mealy p\n{HIDDEN}\nmealy p:q\n{HIDDEN}")
+    assert run_cli(["learn-demo", "--hidden", f"{path}:p:q", "--queries", "i i, j"]) == (0, HIDDEN_TREE)
+    assert run_cli(["learn-demo", "--hidden", f"{path}:p", "--queries", "i i, j"]) == (0, HIDDEN_TREE)
+    # with no prefix that is a file, the path is the text before the last ":"
+    missing = tmp_path / "no:such.txt"
+    assert run_cli(["learn-demo", "--hidden", f"{missing}:p:q", "--queries", "i"]) == (2, "")
+    assert capsys.readouterr().err == f"error: cannot read {f'{missing}:p'!r}: {os.strerror(errno.ENOENT)}\n"
+
+
+def test_learn_demo_reads_a_file_path_holding_colons(tmp_path):
+    path = tmp_path / "a:b.txt"
+    path.write_text(f"mealy m\n{HIDDEN}")
+    assert run_cli(["learn-demo", "--hidden", f"{path}:m", "--queries", "i i, j"]) == (0, HIDDEN_TREE)
 
 
 def test_restrict_refuses_suspension_automata(tmp_path, capsys):
