@@ -332,23 +332,17 @@ HIDDEN_TREE = (
 )
 
 
-def test_learn_demo_names_a_machine_holding_colons(tmp_path, capsys):
-    # "--hidden FILE:p:q" names the machine "p:q" of FILE: the file is the
-    # longest prefix before a ":" that is a file
-    path = tmp_path / "colons.txt"
-    path.write_text(f"mealy p\n{HIDDEN}\nmealy p:q\n{HIDDEN}")
-    assert run_cli(["learn-demo", "--hidden", f"{path}:p:q", "--queries", "i i, j"]) == (0, HIDDEN_TREE)
-    assert run_cli(["learn-demo", "--hidden", f"{path}:p", "--queries", "i i, j"]) == (0, HIDDEN_TREE)
+def test_learn_demo_names_machines_and_files_holding_colons(tmp_path, capsys):
+    # "--hidden FILE:MACHINE" splits at the longest prefix before a ":" that
+    # is a file, so both the path and the machine name may hold ":"
+    path = tmp_path / "a:b.txt"
+    path.write_text(f"mealy m\n{HIDDEN}\nmealy p:q\n{HIDDEN}")
+    for name in ("m", "p:q"):
+        assert run_cli(["learn-demo", "--hidden", f"{path}:{name}", "--queries", "i i, j"]) == (0, HIDDEN_TREE)
     # with no prefix that is a file, the path is the text before the last ":"
     missing = tmp_path / "no:such.txt"
     assert run_cli(["learn-demo", "--hidden", f"{missing}:p:q", "--queries", "i"]) == (2, "")
     assert capsys.readouterr().err == f"error: cannot read {f'{missing}:p'!r}: {os.strerror(errno.ENOENT)}\n"
-
-
-def test_learn_demo_reads_a_file_path_holding_colons(tmp_path):
-    path = tmp_path / "a:b.txt"
-    path.write_text(f"mealy m\n{HIDDEN}")
-    assert run_cli(["learn-demo", "--hidden", f"{path}:m", "--queries", "i i, j"]) == (0, HIDDEN_TREE)
 
 
 def test_restrict_refuses_suspension_automata(tmp_path, capsys):
