@@ -409,6 +409,29 @@ def test_ioco_result_passes_recheck():
         assert relation_is_ioco_compatibility(a, ioco_compatibility(a))
 
 
+def test_ioco_relation_check_matches_the_clauses():
+    # random relations, some with carriers that leave out states a pair
+    # steps to, against `ioco_violates`'s clauses read off the definition
+    rng = random.Random(2026)
+    verdicts = set()
+    for k in range(300):
+        alphabets = {} if k % 2 else {"inputs": ("a", "b"), "outputs": ("u", "v", "w")}
+        a = random_sa(rng, rng.randint(1, 6), **alphabets)
+        if k % 3:
+            left = right = a.states
+        else:
+            left, right = (rng.sample(a.states, rng.randint(1, len(a.states))) for _ in range(2))
+        compatible = ioco_compatibility(a)
+        keep = rng.choice((0.3, 0.7, 0.95))
+        pairs = {(x, y) for x in left for y in right
+                 if ((x, y) in compatible) == (rng.random() < keep)}
+        rel = Relation(left, right, pairs)
+        expected = not any(ioco_violates(a)(x, y, rel) for x, y in pairs)
+        assert relation_is_ioco_compatibility(a, rel) == expected, (a, rel)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_ioco_rounds_cascade():
     # (1, 4) shares output x with successors (2, 6), so it survives the
     # first round; once (2, 6) is removed for lacking common outputs, the

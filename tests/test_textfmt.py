@@ -382,3 +382,23 @@ def test_render_refuses_the_first_unwritable_name():
     sa = SuspensionAutomaton("sa", ("a b",), ("x",), ("s",), {}, {("s", "x"): "s"})
     with pytest.raises(ValidationError, match="cannot render input symbol 'a b'"):
         render(Document((sa,)))
+
+
+def test_render_writes_transitions_in_declaration_order():
+    # the transition dicts are filled out of declaration order: lines stay
+    # state-major in declaration order, every itrans line before any otrans line
+    m = PartialMealyMachine("m", ("i", "j"), ("x", "y"), ("s", "t", "u"),
+                            {("u", "i"): ("x", "s"), ("t", "j"): ("y", "u"),
+                             ("s", "j"): ("x", "t"), ("s", "i"): ("y", "s")})
+    sa = SuspensionAutomaton("c", ("a", "b"), ("x", "y"), ("1", "2"),
+                             {("2", "a"): "1", ("1", "b"): "2", ("1", "a"): "1"},
+                             {("2", "y"): "2", ("1", "y"): "1", ("2", "x"): "1", ("1", "x"): "2"})
+    assert render(Document((m,))) == (
+        "mealy m\ninputs i j\noutputs x y\nstates s t u\n"
+        "trans s i y s\ntrans s j x t\ntrans t j y u\ntrans u i x s\n"
+    )
+    assert render(Document((sa,))) == (
+        "sa c\ninputs a b\noutputs x y\nstates 1 2\n"
+        "itrans 1 a 1\nitrans 1 b 2\nitrans 2 a 1\n"
+        "otrans 1 x 2\notrans 1 y 1\notrans 2 x 1\notrans 2 y 2\n"
+    )
