@@ -36,7 +36,7 @@ are what a `Relation` stores, so the engines hand theirs over as they are.
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress
 from operator import or_
 from typing import Optional, Sequence
@@ -295,14 +295,15 @@ def relation_is_ioco_compatibility(a: SuspensionAutomaton, rel: Relation) -> boo
     arbitrary relation on a suspension automaton."""
     _tables_of(a, SuspensionAutomaton, "relation_is_ioco_compatibility")
     _check_carriers(rel, a, a, "relation_is_ioco_compatibility")
+    successors = cache(a.successors)  # each state's structure, built once
     for x, y in rel.ordered_pairs():
-        for i in a.inputs:
-            dx, dy = a.din.get((x, i)), a.din.get((y, i))
+        t, s = successors(x), successors(y)
+        for dx, dy in zip(t.in_entries, s.in_entries):
             if dx is not None and dy is not None and (dx, dy) not in rel:
                 return False
-        if not any(
-            (x, o) in a.dout and (y, o) in a.dout and (a.dout[(x, o)], a.dout[(y, o)]) in rel
-            for o in a.outputs
-        ):
+        for dx, dy in zip(t.out_entries, s.out_entries):  # a common output to a related pair
+            if dx is not None and dy is not None and (dx, dy) in rel:
+                break
+        else:
             return False
     return True

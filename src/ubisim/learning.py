@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import ContractError, ObservationConflictError, Record, ValidationError
-from .machines import PartialMealyMachine, _shared_alphabets, _tables_of, _unique, distinct_names
+from .machines import PartialMealyMachine, _shared_alphabets, _tables_of, _unique, _walk, distinct_names
 from .relations import Relation
 
 if TYPE_CHECKING:
@@ -195,10 +195,10 @@ class Teacher:
     """
 
     def __init__(self, hidden: PartialMealyMachine, initial: str):
-        self._tables = _tables_of(hidden, PartialMealyMachine, "Teacher")
+        _tables_of(hidden, PartialMealyMachine, "Teacher")
         hidden.check_state(initial)
         self._hidden = hidden
-        self._initial = initial
+        self._start = hidden.index[initial]
         self._count = 0
         self._symbols = 0
 
@@ -217,16 +217,9 @@ class Teacher:
         word = tuple(word)
         if not word:
             raise ContractError("output queries need a non-empty word")
-        (succ, out), at = self._tables, self._hidden.input_index
-        x, outs = self._hidden.index[self._initial], []
-        for i in word:
-            k = at.get(i)
-            if k is None:
-                raise ValidationError(f"unknown input symbol {i!r}")
-            o, x = out[k][x], succ[k][x]
-            if x < 0:
-                raise ContractError(f"hidden machine has no transition for {i!r} after {outs!r}")
-            outs.append(o)
+        x, outs = _walk(self._hidden, self._start, word)
+        if x < 0:
+            raise ContractError(f"hidden machine has no transition for {word[len(outs)]!r} after {outs!r}")
         self._count += 1
         self._symbols += len(word)
         return tuple(outs)

@@ -47,7 +47,7 @@ def _check_args(rel: Relation, *pair: Successors) -> None:
         if type(t) is not type(s) or any(getattr(t, a, ()) != getattr(s, a, ()) for a in ("inputs", "outputs")):
             raise ContractError("lifting membership needs two structures of one kind over one alphabet order")
     for ref in itertools.chain.from_iterable(t.refs() for t in pair):
-        if ref not in rel.left:
+        if ref not in rel._lpos:
             raise ContractError(f"successor {ref!r} is outside the relation's carrier")
 
 

@@ -16,11 +16,15 @@ larger one as more behaviour gets observed.  For Mealy structures the order
 fills in unknown entries, for suspension structures inputs may be added and
 outputs removed, for powerset structures it is plain inclusion.
 
-The rest of the library works on machines through their structures, so the
-kind distinctions live here: `order_failures` lists the symbols at which
-one structure is not below another (with equality of successors, or any
-link between them), `map_structure` renames successors, and `assemble`
-builds a machine of a given kind from one structure per state.
+A machine is read through three views: its transition dicts (`delta`, or
+`din` and `dout`), read by the machine classes, `render`, `restrict_along`
+and `hj_to_openmap`; its `tables()`, read by the engines and by `_walk`,
+the one word walk; and each state's structure, `successors(state)`, read
+by everything else.  So the kind distinctions live here: `order_failures`
+lists the symbols at which one structure is not below another (with
+equality of successors, or any link between them), `map_structure`
+renames successors, and `assemble` builds a machine of a given kind from
+one structure per state.
 
 Each machine numbers its states once, when it is built: `index` maps each
 state to its position in `states`, and state checks look it up (a Mealy
@@ -128,8 +132,7 @@ class MealySuccessors(Record):
                 yield i, e
 
     def refs(self) -> Iterator[Ref]:
-        for _, (_, ref) in self.defined():
-            yield ref
+        return (e[1] for e in self.entries if e is not None)
 
 
 class SaSuccessors(Record):
@@ -189,10 +192,7 @@ class SaSuccessors(Record):
         return any(e is not None for e in self.out_entries)
 
     def refs(self) -> Iterator[Ref]:
-        for _, ref in self.defined_inputs():
-            yield ref
-        for _, ref in self.defined_outputs():
-            yield ref
+        return (e for e in self.in_entries + self.out_entries if e is not None)
 
 
 class PowSuccessors(Record):
@@ -354,7 +354,7 @@ class PartialMealyMachine(Record):
     def successors(self, state: str) -> MealySuccessors:
         self.check_state(state)
         return MealySuccessors(
-            self.inputs, tuple(self.delta.get((state, i)) for i in self.inputs)
+            self.inputs, tuple([self.delta.get((state, i)) for i in self.inputs])
         )
 
     def tables(self) -> tuple[list[list[int]], list[list[Optional[str]]]]:
@@ -399,8 +399,8 @@ class SuspensionAutomaton(Record):
         return SaSuccessors(
             self.inputs,
             self.outputs,
-            tuple(self.din.get((state, a)) for a in self.inputs),
-            tuple(self.dout.get((state, o)) for o in self.outputs),
+            tuple([self.din.get((state, a)) for a in self.inputs]),
+            tuple([self.dout.get((state, o)) for o in self.outputs]),
         )
 
     def tables(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -485,28 +485,33 @@ def _check_carriers(rel, src, dst, operation: str) -> None:
 # word semantics
 
 
-def _walk(machine: PartialMealyMachine, state: str, word: Sequence[str], operation: str) -> Optional[tuple]:
-    """The position `word` reaches from `state` and its last output (None
-    for the empty word), or None at a missing transition; an unknown input
-    raises when the walk reaches it."""
-    (succ, out), at = _tables_of(machine, PartialMealyMachine, operation), machine.input_index
-    machine.check_state(state)
-    x, o = machine.index[state], None
-    for i in word:
-        k = at.get(i)
-        if k is None:
-            raise ValidationError(f"unknown input symbol {i!r}")
-        x, o = succ[k][x], out[k][x]
-        if x < 0:
-            return None
-    return x, o
+def _walk(machine: PartialMealyMachine, x: int, word: Sequence[str]) -> tuple[int, list[str]]:
+    """The position `word` reaches from position x, or -1 at a missing
+    transition, and the outputs of the transitions taken before it; an
+    unknown input raises when the walk reaches it.  `run`, `eval_semantics`
+    and the learning `Teacher` read this one walk, after checking the
+    machine's kind and the start state."""
+    (succ, out), at, outs = machine._tables, machine.input_index, []
+    try:
+        for i in word:
+            k = at[i]
+            d = succ[k][x]
+            if d < 0:
+                return -1, outs
+            outs.append(out[k][x])
+            x = d
+    except KeyError:
+        raise ValidationError(f"unknown input symbol {i!r}") from None
+    return x, outs
 
 
 def run(machine: PartialMealyMachine, state: str, word: Sequence[str]) -> Optional[str]:
     """Follow `word` from `state`; the reached state, or None as soon as a
     transition is missing.  The empty word returns `state` itself."""
-    end = _walk(machine, state, word, "run")
-    return None if end is None else machine.states[end[0]]
+    _tables_of(machine, PartialMealyMachine, "run")
+    machine.check_state(state)
+    x, _ = _walk(machine, machine.index[state], word)
+    return None if x < 0 else machine.states[x]
 
 
 def eval_semantics(machine: PartialMealyMachine, state: str, word: Sequence[str]) -> Optional[str]:
@@ -519,8 +524,10 @@ def eval_semantics(machine: PartialMealyMachine, state: str, word: Sequence[str]
     word = tuple(word)
     if not word:
         raise ContractError("eval_semantics requires a non-empty word")
-    end = _walk(machine, state, word, "eval_semantics")
-    return None if end is None else end[1]
+    _tables_of(machine, PartialMealyMachine, "eval_semantics")
+    machine.check_state(state)
+    x, outs = _walk(machine, machine.index[state], word)
+    return None if x < 0 else outs[-1]
 
 
 # ---------------------------------------------------------------------------

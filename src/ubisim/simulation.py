@@ -21,6 +21,7 @@ states over pairs of successors.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Mapping, Optional, Union
 
 from .errors import ContractError, Record
@@ -180,59 +181,56 @@ def synthesize_span_structure(machine: Machine, rel: Relation):
     _check_carriers(rel, machine, machine, "synthesize_span_structure")
 
     related = lambda a, b: (a, b) in rel  # noqa: E731
+    successors = cache(machine.successors)  # each state's structure, built once
     first: dict[str, SpanFailure] = {}
     structure = {}
-    for pair in rel.ordered_pairs():
-        structure[pair], failures = _joint(machine, *pair, related)
+    for x, y in rel.ordered_pairs():
+        structure[x, y], failures = _joint(successors(x), successors(y), related)
         for reason, symbol in failures:
-            first.setdefault(reason, SpanFailure(pair, symbol, reason))
+            first.setdefault(reason, SpanFailure((x, y), symbol, reason))
     return first.get("output-mismatch") or first.get("successor-missing") or structure
 
 
-def _joint(m: Machine, x: str, y: str, related):
-    """The joining structure of x and y over successor pairs, and where it
-    fails as (reason, symbol).
+def _joint(t, s, related):
+    """The joining structure of two states' structures t and s over
+    successor pairs, and where it fails as (reason, symbol).
 
     An input on which both states move yields the pair of successors, unless
     the outputs differ ("output-mismatch") or the pair is not `related`
     ("successor-missing"); an input on which one state moves duplicates its
     successor.  Suspension outputs are kept where both states produce them
     with `related` successors; keeping none is a failure on the symbol "".
+    t and s come from one machine: they list one alphabet in one order, so
+    their entries join by position.
     """
     failures = []
-    if isinstance(m, PartialMealyMachine):
-        entries = {}
-        for i in m.inputs:
-            dx, dy = m.delta.get((x, i)), m.delta.get((y, i))
-            if dx is not None and dy is not None:
-                if dx[0] != dy[0]:
-                    failures.append(("output-mismatch", i))
-                elif not related(dx[1], dy[1]):
-                    failures.append(("successor-missing", i))
-                else:
-                    entries[i] = (dx[0], (dx[1], dy[1]))
-            elif dx is not None or dy is not None:
-                o, d = dx or dy
-                entries[i] = (o, (d, d))
-        return MealySuccessors.make(m.inputs, entries), failures
-    ins, outs = {}, {}
-    for i in m.inputs:
-        dx, dy = m.din.get((x, i)), m.din.get((y, i))
-        if dx is not None and dy is not None:
-            if related(dx, dy):
-                ins[i] = (dx, dy)
+    if isinstance(t, MealySuccessors):
+        entries = []
+        for i, dx, dy in zip(t.inputs, t.entries, s.entries):
+            if dx is None or dy is None:
+                e = dx or dy
+                entries.append(None if e is None else (e[0], (e[1], e[1])))
+            elif dx[0] != dy[0] or not related(dx[1], dy[1]):
+                failures.append(("output-mismatch" if dx[0] != dy[0] else "successor-missing", i))
+                entries.append(None)
             else:
-                failures.append(("successor-missing", i))
-        elif dx is not None or dy is not None:
-            d = dx if dx is not None else dy
-            ins[i] = (d, d)
-    for o in m.outputs:
-        dx, dy = m.dout.get((x, o)), m.dout.get((y, o))
-        if dx is not None and dy is not None and related(dx, dy):
-            outs[o] = (dx, dy)
-    if not outs:
+                entries.append((dx[0], (dx[1], dy[1])))
+        return MealySuccessors(t.inputs, tuple(entries)), failures
+    ins = []
+    for i, dx, dy in zip(t.inputs, t.in_entries, s.in_entries):
+        if dx is None or dy is None:
+            d = dy if dx is None else dx
+            ins.append(None if d is None else (d, d))
+        elif related(dx, dy):
+            ins.append((dx, dy))
+        else:
+            failures.append(("successor-missing", i))
+            ins.append(None)
+    outs = tuple([None if dx is None or dy is None or not related(dx, dy) else (dx, dy)
+                  for dx, dy in zip(t.out_entries, s.out_entries)])
+    if not any(outs):
         failures.append(("successor-missing", ""))
-    return SaSuccessors.make(m.inputs, m.outputs, ins, outs), failures
+    return SaSuccessors(t.inputs, t.outputs, tuple(ins), outs), failures
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +282,12 @@ def joint_simulator(m: Machine, x: str, y: str):
             return None
         related = lambda u, v: (u, v) in compatible  # noqa: E731
 
+    successors = cache(m.successors)  # each state's structure, built once
     structs = {}
     queue = [(x, y)]
     for pair in queue:  # breadth-first: the queue grows while it is read
         if pair not in structs:
-            structs[pair] = _joint(m, *pair, related)[0]
+            structs[pair] = _joint(successors(pair[0]), successors(pair[1]), related)[0]
             queue.extend(structs[pair].refs())
     names = dict(zip(structs, distinct_names(f"({u}|{v})" for u, v in structs)))
     join = assemble(m, "join", [(names[p], map_structure(t, names)) for p, t in structs.items()])

@@ -272,34 +272,20 @@ def _writable(what: str, names) -> None:
 def _render_machine(m: Union[PartialMealyMachine, SuspensionAutomaton]) -> list[str]:
     _tables_of(m, _MEALY_OR_SA, "render")
     _writable("section name", (m.name,))
-    _writable("input symbol", m.inputs)
-    _writable("output symbol", m.outputs)
-    _writable("state", m.states)
     if isinstance(m, SuspensionAutomaton):
-        head = "sa"
+        head, rows = "sa", (("itrans", m.din, m.inputs), ("otrans", m.dout, m.outputs))
     else:
-        head = "total-mealy" if m.total else "mealy"
-    lines = [
-        f"{head} {m.name}",
-        "inputs " + " ".join(m.inputs),
-        "outputs " + " ".join(m.outputs),
-        "states " + " ".join(m.states),
-    ]
-    if isinstance(m, SuspensionAutomaton):
-        for s in m.states:
-            for a in m.inputs:
-                if (s, a) in m.din:
-                    lines.append(f"itrans {s} {a} {m.din[(s, a)]}")
-        for s in m.states:
-            for o in m.outputs:
-                if (s, o) in m.dout:
-                    lines.append(f"otrans {s} {o} {m.dout[(s, o)]}")
-    else:
-        for s in m.states:
-            for i in m.inputs:
-                if (s, i) in m.delta:
-                    o, dst = m.delta[(s, i)]
-                    lines.append(f"trans {s} {i} {o} {dst}")
+        trans = {key: f"{o} {dst}" for key, (o, dst) in m.delta.items()}
+        head, rows = "total-mealy" if m.total else "mealy", (("trans", trans, m.inputs),)
+    lines = [f"{head} {m.name}"]
+    for key, what in (("inputs", "input symbol"), ("outputs", "output symbol"), ("states", "state")):
+        names = getattr(m, key)
+        if not names:
+            raise ValidationError(f"cannot render section {m.name!r}: its {key} list is empty")
+        _writable(what, names)
+        lines.append(f"{key} {' '.join(names)}")
+    for keyword, table, symbols in rows:  # state-major, in declaration order
+        lines += [f"{keyword} {s} {a} {v}" for s in m.states for a in symbols if (v := table.get((s, a))) is not None]
     return lines
 
 
@@ -307,24 +293,27 @@ def render(doc: Document) -> str:
     """Canonical text for a document: transitions and pairs emitted in
     declaration order, one blank line between sections.  Raises
     ContractError on a section that is a machine of another kind, and
-    ValidationError on a name that is empty or holds whitespace or '#'."""
-    chunks = []
+    ValidationError on what `parse` would refuse: a name that is empty or
+    holds whitespace or '#', an empty inputs, outputs or states list, a
+    second section of one name, and a map or rel section that names no
+    earlier machine section."""
+    chunks, earlier = [], {}
     for section in doc.sections:
-        if not isinstance(section, (MapDecl, RelDecl)):
-            chunks.append(_render_machine(section))
-            continue
-        _writable("section name", (section.name,))
         if isinstance(section, MapDecl):
-            lines = [f"map {section.name} from {section.source_machine} to {section.target_machine}"]
-            for s in section.statemap.source.states:
-                lines.append(f"pair {s} {section.statemap(s)}")
-            chunks.append(lines)
+            named = section.source_machine, section.target_machine
+            lines = [f"map {section.name} from {named[0]} to {named[1]}",
+                     *(f"pair {s} {section.statemap(s)}" for s in section.statemap.source.states)]
+        elif isinstance(section, RelDecl):
+            named = section.left_machine, section.right_machine
+            lines = [f"rel {section.name} on {named[0]}" + ("" if named[0] == named[1] else f" x {named[1]}"),
+                     *(f"pair {s} {t}" for s, t in section.relation.ordered_pairs())]
         else:
-            lines = [
-                f"rel {section.name} on {section.left_machine}"
-                + ("" if section.left_machine == section.right_machine else f" x {section.right_machine}")
-            ]
-            for s, t in section.relation.ordered_pairs():
-                lines.append(f"pair {s} {t}")
-            chunks.append(lines)
+            named, lines = (), _render_machine(section)
+        _writable("section name", (section.name,))
+        for stray in (n for n in named if not isinstance(earlier.get(n), _MEALY_OR_SA)):  # the first one
+            raise ValidationError(f"cannot render section {section.name!r}: no earlier machine section is {stray!r}")
+        if section.name in earlier:
+            raise ValidationError(f"cannot render section {section.name!r}: an earlier section has that name")
+        earlier[section.name] = section
+        chunks.append(lines)
     return "\n\n".join("\n".join(chunk) for chunk in chunks) + "\n"

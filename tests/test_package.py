@@ -5,6 +5,8 @@ on first access.  The CLI imports the parsing layer and loads the rest in
 the handler that runs it.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -193,3 +195,15 @@ def test_learn_demo_loads_no_decision_procedure():
     loaded = loaded_by(cli_run(argv))
     assert loaded == PARSING | {"ubisim.learning", "ubisim.morphisms"}
     assert not {"ubisim.simulation", "ubisim.lifting", "ubisim.bisim"} & loaded
+
+
+def test_readme_quick_tour_prints_what_its_comments_show():
+    # the `python` block under "Library quick tour" runs and prints the lines
+    # that its whole-line "# " comments show, in order
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("\n## Library quick tour\n", 1)[1].split("\n```python\n", 1)[1].split("\n```", 1)[0]
+    shown = [line[2:] for line in tour.splitlines() if line.startswith("# ")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(tour, {})
+    assert shown and out.getvalue().splitlines() == shown

@@ -402,3 +402,36 @@ def test_render_writes_transitions_in_declaration_order():
         "itrans 1 a 1\nitrans 1 b 2\nitrans 2 a 1\n"
         "otrans 1 x 2\notrans 1 y 1\notrans 2 x 1\notrans 2 y 2\n"
     )
+
+
+@pytest.mark.parametrize("empty", ("inputs", "outputs", "states"))
+def test_render_refuses_an_empty_list(empty):
+    # `parse` refuses an inputs, outputs or states line without a name
+    lists = {"inputs": ("i",), "outputs": ("o",), "states": ("s",), empty: ()}
+    m = PartialMealyMachine("m", *lists.values(), {})
+    with pytest.raises(ValidationError, match=re.escape(f"cannot render section 'm': its {empty} list is empty")):
+        render(Document((m,)))
+
+
+def test_render_refuses_two_sections_of_one_name():
+    m = PartialMealyMachine("m", ("i",), ("o",), ("s",), {})
+    for second in (m.replace(states=("t",)), RelDecl("m", "m", "m", Relation.identity(m.states))):
+        with pytest.raises(ValidationError, match="cannot render section 'm': an earlier section has that name"):
+            render(Document((m, second)))
+
+
+def test_render_refuses_a_pairs_section_before_its_machine():
+    m = PartialMealyMachine("m", ("i",), ("o",), ("s",), {})
+    n = m.replace(name="n")
+    rel = RelDecl("r", "m", "m", Relation.identity(m.states))
+    cases = [
+        ((rel, m), "r", "m"),
+        ((MapDecl("h", "m", "m", StateMap(m, m, {"s": "s"}, name="h")), m), "h", "m"),
+        ((m, RelDecl("q", "m", "n", Relation(m.states, n.states, ())), n), "q", "n"),
+        ((m, rel, RelDecl("q", "r", "m", Relation.identity(m.states))), "q", "r"),  # a rel is no machine
+    ]
+    for sections, name, missing in cases:
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"cannot render section {name!r}: no earlier machine section is {missing!r}")):
+            render(Document(sections))
+    assert parse(render(Document((m, n, rel)))) == Document((m, n, rel))
