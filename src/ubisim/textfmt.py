@@ -293,25 +293,36 @@ def render(doc: Document) -> str:
     """Canonical text for a document: transitions and pairs emitted in
     declaration order, one blank line between sections.  Raises
     ContractError on a section that is a machine of another kind, and
-    ValidationError on what `parse` would refuse: a name that is empty or
-    holds whitespace or '#', an empty inputs, outputs or states list, a
-    second section of one name, and a map or rel section that names no
-    earlier machine section."""
+    ValidationError on what `parse` would refuse or read back otherwise:
+    a name that is empty or holds whitespace or '#', an empty inputs,
+    outputs or states list, a second section of one name, a map or rel
+    section that names no earlier machine section, a map whose state map
+    does not run between the machines it names, and a rel whose carriers
+    are not their states tuples, in order."""
     chunks, earlier = [], {}
     for section in doc.sections:
         if isinstance(section, MapDecl):
             named = section.source_machine, section.target_machine
+            ends = {"source": section.statemap.source, "target": section.statemap.target}
             lines = [f"map {section.name} from {named[0]} to {named[1]}",
                      *(f"pair {s} {section.statemap(s)}" for s in section.statemap.source.states)]
         elif isinstance(section, RelDecl):
             named = section.left_machine, section.right_machine
+            ends = {"left carrier": section.relation.left, "right carrier": section.relation.right}
             lines = [f"rel {section.name} on {named[0]}" + ("" if named[0] == named[1] else f" x {named[1]}"),
                      *(f"pair {s} {t}" for s, t in section.relation.ordered_pairs())]
         else:
-            named, lines = (), _render_machine(section)
+            named, ends, lines = (), {}, _render_machine(section)
         _writable("section name", (section.name,))
         for stray in (n for n in named if not isinstance(earlier.get(n), _MEALY_OR_SA)):  # the first one
             raise ValidationError(f"cannot render section {section.name!r}: no earlier machine section is {stray!r}")
+        # `parse` builds a map's state map between the named machines, and a
+        # rel's carriers from their states tuples
+        of_rel = isinstance(section, RelDecl)
+        for (side, end), name in zip(ends.items(), named):
+            if end != (earlier[name].states if of_rel else earlier[name]):
+                raise ValidationError(f"cannot render section {section.name!r}: its {side} is not "
+                                      f"{'the states of ' if of_rel else ''}machine {name!r}")
         if section.name in earlier:
             raise ValidationError(f"cannot render section {section.name!r}: an earlier section has that name")
         earlier[section.name] = section

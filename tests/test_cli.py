@@ -223,6 +223,21 @@ def test_wrong_machine_kind_exit_code(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("section, argv, message", [
+    ("rel r on m x c", ["simulate", "r"], "simulation_violation needs two machines of one kind"),
+    ("map h from m to c", ["morphism", "h", "--kind", "lax"], "line 13: StateMap needs two machines of one kind"),
+], ids=["simulate-rel", "morphism-map"])
+def test_pairs_section_between_two_kinds_exit_code(tmp_path, capsys, section, argv, message):
+    # a rel or map between a mealy and an sa section; the map already fails
+    # at parse, where its state map is built
+    path = tmp_path / "mixed.txt"
+    path.write_text("mealy m\ninputs a\noutputs x\nstates s\ntrans s a x s\n\n"
+                    f"sa c\ninputs a\noutputs x\nstates s\notrans s x s\n\n{section}\npair s s\n")
+    assert run_cli([argv[0], str(path), *argv[1:]]) == (2, "")
+    kinds = "got PartialMealyMachine 'm' and SuspensionAutomaton 'c'"
+    assert capsys.readouterr().err == f"error: {message}, {kinds}\n"
+
+
 @pytest.mark.parametrize("file, argv, reason", [
     ("missing", ["bisim", "{path}", "m"], os.strerror(errno.ENOENT)),
     ("dir", ["bisim", "{path}", "m"], os.strerror(errno.EISDIR)),

@@ -435,3 +435,38 @@ def test_render_refuses_a_pairs_section_before_its_machine():
                            match=re.escape(f"cannot render section {name!r}: no earlier machine section is {missing!r}")):
             render(Document(sections))
     assert parse(render(Document((m, n, rel)))) == Document((m, n, rel))
+
+
+def test_render_refuses_a_rel_whose_carriers_are_not_its_machines_states():
+    # `parse` builds a rel's carriers from the named machines' states tuples,
+    # in order: a narrower carrier would read back wider, and another
+    # machine's states would not read back at all
+    m = PartialMealyMachine("m", ("i",), ("o",), ("s", "t"), {})
+    n = PartialMealyMachine("n", ("i",), ("o",), ("u",), {})
+    cases = [
+        (RelDecl("r", "m", "m", Relation(("s",), m.states, {("s", "s")})), "left carrier", "m"),
+        (RelDecl("r", "m", "m", Relation(m.states, ("t", "s"), {("s", "s")})), "right carrier", "m"),
+        (RelDecl("r", "m", "n", Relation(n.states, n.states, {("u", "u")})), "left carrier", "m"),
+    ]
+    for rel, side, machine in cases:
+        with pytest.raises(ValidationError, match=re.escape(
+                f"cannot render section 'r': its {side} is not the states of machine {machine!r}")):
+            render(Document((m, n, rel)))
+    fitting = RelDecl("r", "m", "n", Relation(m.states, n.states, {("t", "u")}))
+    assert parse(render(Document((m, n, fitting)))) == Document((m, n, fitting))
+
+
+def test_render_refuses_a_map_whose_state_map_is_not_between_its_machines():
+    # `parse` builds a map's state map between the named machines
+    m = PartialMealyMachine("m", ("i",), ("o",), ("s", "t"), {})
+    n = PartialMealyMachine("n", ("i",), ("o",), ("u",), {})
+    other_m = m.replace(delta={("s", "i"): ("o", "t")})
+    cases = [
+        (MapDecl("h", "m", "n", StateMap(n, n, {"u": "u"}, name="h")), "source", "m"),
+        (MapDecl("h", "m", "n", StateMap(m, m, {"s": "s", "t": "s"}, name="h")), "target", "n"),
+        (MapDecl("h", "m", "n", StateMap(other_m, n, {"s": "u", "t": "u"}, name="h")), "source", "m"),
+    ]
+    for section, side, machine in cases:
+        with pytest.raises(ValidationError, match=re.escape(
+                f"cannot render section 'h': its {side} is not machine {machine!r}")):
+            render(Document((m, n, section)))
