@@ -167,10 +167,17 @@ class ObservationTree:
     def as_machine(self) -> PartialMealyMachine:
         """The tree as a partial Mealy machine named "tree", whose states are
         the `_names` of the access words in `words()` order, so every
-        relation and morphism operation applies.  It is built in one pass
-        over the ranked edges, without the constructor's per-transition
-        checks, which the tree guarantees."""
-        return PartialMealyMachine._tree(self.inputs, self.outputs, tuple(self._names), self._ranked)
+        relation and morphism operation applies.  Its tables are filled in
+        one pass over the ranked edges, without the constructor's
+        per-transition checks, which the tree guarantees: one edge per
+        node and input, with the node's rank as successor.  Its `delta`
+        is built from them when first read."""
+        n = len(self._ranked) + 1
+        succ = [[-1] * n for _ in self.inputs]
+        out: list[list[Optional[str]]] = [[None] * n for _ in self.inputs]
+        for r, (q, k, o) in enumerate(self._ranked, 1):
+            succ[k][q], out[k][q] = r, o
+        return PartialMealyMachine._from_tables("tree", self.inputs, self.outputs, tuple(self._names), succ, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationTree):

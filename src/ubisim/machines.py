@@ -33,9 +33,17 @@ validates the transitions also fills the dense arrays over those
 positions that `tables()` returns, the same read-only lists on every call.
 Machines and structures are `Record`s.  The indexes and the tables are
 attributes, not fields: they take no part in `repr` or `==`, and
-`replace` builds them anew, since it goes through the constructor.  The
-one machine built without those checks is an observation tree's, from
-the tree's ranks, which guarantee what the checks test.
+`replace` builds them anew, since it goes through the constructor.
+
+A constructed machine stores both its transition dicts and its tables.
+One trusted builder, `PartialMealyMachine._from_tables`, makes a Mealy
+machine from tables its caller filled and checked transition by
+transition; it has two callers, `textfmt.parse` (one check per `trans`
+line) and `ObservationTree.as_machine` (the tree's ranks guarantee the
+checks).  It checks only repeated names and, for a total machine, holes,
+and stores the tables alone: such a machine's `delta` is read back from
+them on first use, state-major with inputs in declaration order, and
+then kept.
 """
 
 from __future__ import annotations
@@ -50,13 +58,25 @@ from .errors import ContractError, Record, ValidationError
 Ref = Hashable
 
 
-def _unique(items, what: str) -> dict:
-    """Each item's position; refuses repeats."""
-    index: dict = {}
+def _unique(items: Sequence, what: str, index: Optional[dict] = None) -> dict:
+    """Each item's position; refuses repeats.  A caller that has built
+    `index` as `dict(zip(items, range(len(items))))` passes it, and it is
+    returned when it shows no repeat."""
+    if index is not None and len(index) == len(items):
+        return index
+    index = {}
     for k, it in enumerate(items):
         if index.setdefault(it, k) != k:
             raise ValidationError(f"duplicate {what}: {it!r}")
     return index
+
+
+def _refuse_hole(states: Sequence[str], inputs: Sequence[str], succ: list[list[int]]) -> None:
+    """Refuse the first missing transition, state-major, of a machine
+    declared total."""
+    for s, row in zip(states, zip(*succ)):
+        if -1 in row:
+            raise ValidationError(f"machine declared total but {s!r} has no transition on {inputs[row.index(-1)]!r}")
 
 
 def _sa_table(index: dict, labels: dict, trans: Mapping, what: str) -> list[list[int]]:
@@ -321,31 +341,41 @@ class PartialMealyMachine(Record):
                 raise ValidationError(f"transition to unknown state {dst!r}")
             succ[k][x], out[k][x] = d, o
         if self.total:
-            for s, row in zip(self.states, zip(*succ)):  # state-major: the first hole
-                if -1 in row:
-                    i = self.inputs[row.index(-1)]
-                    raise ValidationError(f"machine declared total but {s!r} has no transition on {i!r}")
+            _refuse_hole(self.states, self.inputs, succ)
         vars(self).update(index=index, input_index=inputs, _tables=(succ, out))
 
     @classmethod
-    def _tree(cls, inputs: tuple, outputs: tuple, states: tuple, ranked: Sequence[tuple[int, int, str]]):
-        """The machine "tree" of an observation tree's ranked edges: state r
-        is entered from ranked[r - 1] = (parent's position, input's
-        position, output), and `delta` follows that order.  Trusts what the
-        tree guarantees, so it skips the constructor's checks: distinct
-        states and symbols, known outputs, one edge per state and input,
-        and endpoints among the states."""
-        succ = [[-1] * len(states) for _ in inputs]
-        out: list[list[Optional[str]]] = [[None] * len(states) for _ in inputs]
-        delta = {}
-        for r, (q, k, o) in enumerate(ranked, 1):
-            succ[k][q], out[k][q] = r, o
-            delta[states[q], inputs[k]] = (o, states[r])
+    def _from_tables(cls, name: str, inputs: tuple, outputs: tuple, states: tuple,
+                     succ: list[list[int]], out: list[list[Optional[str]]], total: bool = False,
+                     input_index: Optional[dict] = None, index: Optional[dict] = None):
+        """The machine whose `tables()` are `succ` and `out`, filled by a
+        caller that checked each transition: the parser, line by line, or
+        an observation tree, from its ranks.  It checks only what single
+        transitions cannot show: repeated input, output and state names,
+        in that order, then a hole in a machine declared total.  A caller
+        may pass the input and state positions it has, as `_unique` takes
+        them.  No `delta` is stored; it is read back on first use."""
+        input_index = _unique(inputs, "input symbol", input_index)
+        _unique(outputs, "output symbol")
+        index = _unique(states, "state", index)
+        if total:
+            _refuse_hole(states, inputs, succ)
         machine = object.__new__(cls)
-        vars(machine).update(name="tree", inputs=inputs, outputs=outputs, states=states, delta=delta, total=False,
-                             index=dict(zip(states, range(len(states)))),
-                             input_index=dict(zip(inputs, range(len(inputs)))), _tables=(succ, out))
+        vars(machine).update(name=name, inputs=inputs, outputs=outputs, states=states, total=total,
+                             index=index, input_index=input_index, _tables=(succ, out))
         return machine
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not set: a machine built by
+        # `_from_tables` reads its `delta` back, state-major, and keeps it
+        if name != "delta" or "_tables" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        (succ, out), states, inputs = self._tables, self.states, self.inputs
+        delta = vars(self)["delta"] = {
+            (s, i): (out[k][x], states[d])
+            for x, s in enumerate(states) for k, i in enumerate(inputs) if (d := succ[k][x]) >= 0
+        }
+        return delta
 
     def check_state(self, state: str) -> None:
         if state not in self.index:
@@ -359,8 +389,9 @@ class PartialMealyMachine(Record):
 
     def tables(self) -> tuple[list[list[int]], list[list[Optional[str]]]]:
         """Per input, each state's successor position (-1 when unknown) and
-        output (None when unknown), as [input][state].  The constructor
-        built them; every call returns the same lists, which are read-only."""
+        output (None when unknown), as [input][state].  The machine was
+        built with them; every call returns the same lists, which are
+        read-only."""
         return self._tables
 
 

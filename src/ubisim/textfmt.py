@@ -29,7 +29,7 @@ produces a canonical form that `parse` maps back to the same document.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import ParseError, Record, UbisimError, ValidationError
 from .machines import PartialMealyMachine, SuspensionAutomaton, _MEALY_OR_SA, _tables_of
@@ -83,15 +83,17 @@ class _MachineBuilder:
         self.name = name
         self.line = line
         self.lists: dict[str, tuple[str, ...]] = {}  # the inputs, outputs and states lines
-        self.sets = {key: set() for key in ("inputs", "outputs", "states")}  # filled as declared
-        self.delta: dict = {}
+        self.pos = {key: {} for key in ("inputs", "outputs", "states")}  # each name's position, filled as declared
+        # a mealy section's `tables()`, allocated once its states and inputs are declared
+        self.succ: list[list[int]] = []
+        self.out: list[list[Optional[str]]] = []
         self.din: dict = {}
         self.dout: dict = {}
 
-    def need(self, what, line) -> set:
+    def need(self, what, line) -> dict:
         if what not in self.lists:
             raise ParseError(f"{what} must be declared before use", line)
-        return self.sets[what]
+        return self.pos[what]
 
     def feed(self, key: str, args: list[str], line: int) -> None:
         if key in ("inputs", "outputs", "states"):
@@ -100,7 +102,11 @@ class _MachineBuilder:
             if not args:
                 raise ParseError(f"empty {key} list", line)
             self.lists[key] = tuple(args)
-            self.sets[key].update(args)
+            self.pos[key].update(zip(args, range(len(args))))
+            if key != "outputs" and self.kind != "sa" and "inputs" in self.lists and "states" in self.lists:
+                n = len(self.lists["states"])
+                self.succ += ([-1] * n for _ in self.lists["inputs"])
+                self.out += ([None] * n for _ in self.lists["inputs"])
             return
         if key == "trans":
             if self.kind not in ("mealy", "total-mealy"):
@@ -109,7 +115,8 @@ class _MachineBuilder:
                 raise ParseError("trans needs <src> <in> <out> <dst>", line)
             for tok, what in zip(args, ("state", "input", "output", "state")):
                 self._check(tok, what, what + "s", line)
-            # `parse` stores every valid line itself: what is left is a repeat
+            # `parse` writes every valid line into the tables itself: what
+            # is left is a repeat
             raise ParseError(f"duplicate transition for ({args[0]}, {args[1]})", line)
         if key in ("itrans", "otrans"):
             if self.kind != "sa":
@@ -138,7 +145,8 @@ class _MachineBuilder:
         try:
             if self.kind == "sa":
                 return SuspensionAutomaton(self.name, *lists, self.din, self.dout)
-            return PartialMealyMachine(self.name, *lists, self.delta, total=self.kind == "total-mealy")
+            return PartialMealyMachine._from_tables(self.name, *lists, self.succ, self.out, self.kind == "total-mealy",
+                                                    self.pos["inputs"], self.pos["states"])
         except UbisimError as exc:
             raise ParseError(str(exc), self.line) from None
 
@@ -200,8 +208,8 @@ def parse(text: str) -> Document:
     names: set[str] = set()
     machines: dict[str, Union[PartialMealyMachine, SuspensionAutomaton]] = {}
     builder: Union[_MachineBuilder, _PairsBuilder, None] = None
-    states = inputs = outputs = frozenset()  # the open mealy section's declared sets
-    delta: dict = {}  # and its transitions
+    states = inputs = outputs = {}  # the open mealy section's positions of declared names
+    succ = out = []  # and its tables
 
     def close():
         if builder is not None:
@@ -214,17 +222,21 @@ def parse(text: str) -> Document:
             raw = raw[: raw.index("#")]
         toks = raw.split()
         if len(toks) == 5 and toks[0] == "trans":
-            # one test accepts a valid line; `feed` reports what is wrong with any other
+            # one test accepts a valid line and writes it into the section's
+            # tables, where a filled slot is a repeat: every transition is
+            # checked once, here, and `feed` reports what is wrong with any
+            # other line
             _, src, i, o, dst = toks
-            if src in states and i in inputs and o in outputs and dst in states and (src, i) not in delta:
-                delta[src, i] = o, dst
+            x, k, d = states.get(src), inputs.get(i), states.get(dst)
+            if x is not None and k is not None and d is not None and o in outputs and succ[k][x] < 0:
+                succ[k][x], out[k][x] = d, o
                 continue
         if not toks:
             continue
         key, args = toks[0], toks[1:]
         if key in _SECTION_KEYS:
             close()
-            states = inputs = outputs = frozenset()
+            states = inputs = outputs = {}
             if not args:
                 raise ParseError(f"{key} section needs a name", lineno)
             name = args[0]
@@ -236,8 +248,8 @@ def parse(text: str) -> Document:
                     raise ParseError(f"{key} takes exactly one name", lineno)
                 builder = _MachineBuilder(key, name, lineno)
                 if key != "sa":
-                    inputs, outputs, states = builder.sets.values()
-                    delta = builder.delta
+                    inputs, outputs, states = builder.pos.values()
+                    succ, out = builder.succ, builder.out
             else:
                 if key == "rel" and len(args) == 3:
                     args += ["x", args[2]]  # a rel on one machine

@@ -233,6 +233,10 @@ PARSE_ERRORS = {
     "blocking": ("sa a\ninputs i\noutputs o\nstates s t\notrans s o t\n", 1,
                  "blocking state 't': no output transition"),
     "map-not-total": (TWO + "map f from m to n\npair s u\n", 11, "map is not total: missing 't'"),
+    "inputs-repeat": ("mealy m\ninputs i j i\noutputs o\nstates s\n", 1, "duplicate input symbol: 'i'"),
+    "outputs-repeat": ("mealy m\ninputs i\noutputs o p o\nstates s\n", 1, "duplicate output symbol: 'o'"),
+    "states-repeat": (MEALY.replace("s t", "s t s") + "trans s i o t\ntrans t j p s\n", 1, "duplicate state: 's'"),
+    "sa-states-repeat": ("sa a\ninputs i\noutputs o\nstates s s\notrans s o s\n", 1, "duplicate state: 's'"),
     # two faults on one line: the earlier check's message wins
     "kind-before-arity": (SA + "trans s i\n", 7, "trans line outside a mealy section"),
     "arity-before-declared": ("mealy m\ntrans s i o\n", 2, "trans needs <src> <in> <out> <dst>"),
@@ -242,6 +246,19 @@ PARSE_ERRORS = {
     "output-before-dst": (MEALY + "trans s i q u\n", 5, "undeclared output 'q'"),
     "dst-before-symbol": (SA + "itrans s k u\n", 7, "undeclared state 'u'"),
     "token-before-duplicate": (MEALY + "trans s i o s\ntrans s i q s\n", 6, "undeclared output 'q'"),
+    # two faults of one section: line checks first, then repeated input,
+    # output and state names in that order, whatever the order of their
+    # lines, then a hole in a total machine
+    "inputs-repeat-before-states-repeat": ("mealy m\nstates s s\noutputs o\ninputs i i\n", 1,
+                                           "duplicate input symbol: 'i'"),
+    "outputs-repeat-before-states-repeat": ("mealy m\nstates s s\ninputs i\noutputs o o\n", 1,
+                                            "duplicate output symbol: 'o'"),
+    "line-before-states-repeat": ("mealy m\ninputs i\noutputs o\nstates s s\ntrans s i q s\n", 5,
+                                  "undeclared output 'q'"),
+    "duplicate-before-states-repeat": ("mealy m\ninputs i\noutputs o\nstates s s\ntrans s i o s\ntrans s i o s\n",
+                                       6, "duplicate transition for (s, i)"),
+    "states-repeat-before-hole": ("total-mealy m\ninputs i j\noutputs o\nstates s s\ntrans s i o s\n", 1,
+                                  "duplicate state: 's'"),
     "close-before-header": ("sa a\ninputs i\noutputs o\nstates s\n\nmealy\n", 1,
                             "blocking state 's': no output transition"),
 }
@@ -402,6 +419,27 @@ def test_render_writes_transitions_in_declaration_order():
         "itrans 1 a 1\nitrans 1 b 2\nitrans 2 a 1\n"
         "otrans 1 x 2\notrans 1 y 1\notrans 2 x 1\notrans 2 y 2\n"
     )
+
+
+def test_parsed_delta_is_read_back_from_the_tables_in_declaration_order():
+    # the parser fills the tables and stores no transition dict: `delta` is
+    # built on first read, state-major with inputs in declaration order,
+    # whatever the order of the trans lines
+    lines = (("u", "i", "x", "s"), ("t", "j", "y", "u"), ("s", "j", "x", "t"), ("s", "i", "y", "s"))
+    text = "mealy m\ninputs i j\noutputs x y\nstates s t u\n" + "".join(f"trans {' '.join(t)}\n" for t in lines)
+    m = parse(text).machines()["m"]
+    assert "delta" not in vars(m)
+    assert list(m.delta) == [("s", "i"), ("s", "j"), ("t", "j"), ("u", "i")]
+    assert vars(m)["delta"] is m.delta
+    built = PartialMealyMachine("m", ("i", "j"), ("x", "y"), ("s", "t", "u"), {(s, i): (o, d) for s, i, o, d in lines})
+    assert m == built
+    assert (m.tables(), m.index, m.input_index) == (built.tables(), built.index, built.input_index)
+    assert render(Document((m,))) == render(Document((built,))) == (
+        "mealy m\ninputs i j\noutputs x y\nstates s t u\n"
+        "trans s i y s\ntrans s j x t\ntrans t j y u\ntrans u i x s\n"
+    )
+    with pytest.raises(TypeError, match=r"PartialMealyMachine\(\) takes the fields"):
+        PartialMealyMachine("m", ("i",), ("x",), ("s",))
 
 
 @pytest.mark.parametrize("empty", ("inputs", "outputs", "states"))
