@@ -177,7 +177,8 @@ class ObservationTree:
         out: list[list[Optional[str]]] = [[None] * n for _ in self.inputs]
         for r, (q, k, o) in enumerate(self._ranked, 1):
             succ[k][q], out[k][q] = r, o
-        return PartialMealyMachine._from_tables("tree", self.inputs, self.outputs, tuple(self._names), succ, out)
+        return PartialMealyMachine._from_tables("tree", self.inputs, self.outputs, tuple(self._names), (succ, out),
+                                                (self._ipos, self._opos))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationTree):

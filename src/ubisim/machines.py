@@ -16,34 +16,33 @@ larger one as more behaviour gets observed.  For Mealy structures the order
 fills in unknown entries, for suspension structures inputs may be added and
 outputs removed, for powerset structures it is plain inclusion.
 
-A machine is read through three views: its transition dicts (`delta`, or
-`din` and `dout`), read by the machine classes, `render`, `restrict_along`
-and `hj_to_openmap`; its `tables()`, read by the engines and by `_walk`,
-the one word walk; and each state's structure, `successors(state)`, read
-by everything else.  So the kind distinctions live here: `order_failures`
-lists the symbols at which one structure is not below another (with
-equality of successors, or any link between them), `map_structure`
-renames successors, and `assemble` builds a machine of a given kind from
-one structure per state.
+A Mealy machine or suspension automaton is read through two views: its
+`tables()`, read by the engines and by `_walk`, the one word walk; and
+each state's structure, `successors(state)`, read by everything else.
+So the kind distinctions live here: `order_failures` lists the symbols
+at which one structure is not below another (with equality of
+successors, or any link between them), `map_structure` renames
+successors, and `assemble` builds a machine of a given kind from one
+structure per state.
 
 Each machine numbers its states once, when it is built: `index` maps each
-state to its position in `states`, and state checks look it up (a Mealy
-machine's `input_index` does the same for `inputs`).  The pass that
-validates the transitions also fills the dense arrays over those
-positions that `tables()` returns, the same read-only lists on every call.
-Machines and structures are `Record`s.  The indexes and the tables are
-attributes, not fields: they take no part in `repr` or `==`, and
-`replace` builds them anew, since it goes through the constructor.
+state to its position in `states`, and state checks look it up
+(`input_index` does the same for `inputs`).  Machines and structures are
+`Record`s.  The indexes and the tables are attributes, not fields: they
+take no part in `repr` or `==`, and `replace` builds them anew, since it
+goes through the constructor.
 
-A constructed machine stores both its transition dicts and its tables.
-One trusted builder, `PartialMealyMachine._from_tables`, makes a Mealy
-machine from tables its caller filled and checked transition by
-transition; it has two callers, `textfmt.parse` (one check per `trans`
-line) and `ObservationTree.as_machine` (the tree's ranks guarantee the
-checks).  It checks only repeated names and, for a total machine, holes,
-and stores the tables alone: such a machine's `delta` is read back from
-them on first use, state-major with inputs in declaration order, and
-then kept.
+One storage rule holds for both kinds: a machine keeps its indexes and
+its tables, and nothing else of its transitions.  Its transition dicts
+(`delta`, or `din` and `dout`) stay fields, read by `==`, `render`,
+`restrict_along` and `hj_to_openmap`: each is read back from the tables
+on first use, state-major with symbols in declaration order, and kept.
+The constructor fills the tables from the caller's dicts, checking each
+transition, and keeps no dict.  `_from_tables` takes tables its caller
+has checked transition by transition: `textfmt.parse`, line by line, and
+`ObservationTree.as_machine`, whose ranks guarantee the checks.  Both end
+in one finishing step: repeated names, then a hole in a machine declared
+total or a blocking state.
 """
 
 from __future__ import annotations
@@ -69,29 +68,6 @@ def _unique(items: Sequence, what: str, index: Optional[dict] = None) -> dict:
         if index.setdefault(it, k) != k:
             raise ValidationError(f"duplicate {what}: {it!r}")
     return index
-
-
-def _refuse_hole(states: Sequence[str], inputs: Sequence[str], succ: list[list[int]]) -> None:
-    """Refuse the first missing transition, state-major, of a machine
-    declared total."""
-    for s, row in zip(states, zip(*succ)):
-        if -1 in row:
-            raise ValidationError(f"machine declared total but {s!r} has no transition on {inputs[row.index(-1)]!r}")
-
-
-def _sa_table(index: dict, labels: dict, trans: Mapping, what: str) -> list[list[int]]:
-    """Per label, each state's successor position in `trans`, -1 where it
-    has none; refuses unknown states and labels."""
-    rows = [[-1] * len(index) for _ in labels]
-    for (src, label), dst in trans.items():
-        x, d = index.get(src), index.get(dst)
-        if x is None or d is None:
-            raise ValidationError(f"{what} transition {src!r} -{label}-> {dst!r} uses unknown state")
-        k = labels.get(label)
-        if k is None:
-            raise ValidationError(f"{what} transition on unknown symbol {label!r}")
-        rows[k][x] = d
-    return rows
 
 
 def distinct_names(names: Iterable[str]) -> list[str]:
@@ -304,7 +280,69 @@ def map_structure(t: Successors, f: Mapping[Ref, Ref]) -> Successors:
 # machines
 
 
-class PartialMealyMachine(Record):
+class _Tabled(Record):
+    """The fields, indexes and tables of a Mealy machine or suspension
+    automaton; a kind names its transition dicts in `_dicts`."""
+
+    name: str
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    states: tuple[str, ...]
+    _dicts = ()
+
+    def _check(self):
+        # the constructor's: the caller's dicts fill the tables, and none is kept
+        given = [vars(self).pop(name) for name in self._dicts]
+        vars(self).update(inputs=tuple(self.inputs), outputs=tuple(self.outputs), states=tuple(self.states))
+        at = _unique(self.inputs, "input symbol"), _unique(self.outputs, "output symbol"), _unique(self.states, "state")
+        self._finish(self._fill(*at, *given), *at)
+
+    @classmethod
+    def _from_tables(cls, name: str, inputs: tuple, outputs: tuple, states: tuple, tables: tuple,
+                     positions: Sequence[Optional[dict]] = (), **fields):
+        """The machine whose `tables()` are `tables`, each transition in
+        them checked by the caller, which may pass the input, output and
+        state positions it has, as `_unique` takes them, and the kind's
+        further fields (a Mealy machine's `total`)."""
+        machine = object.__new__(cls)
+        vars(machine).update(cls._defaults, name=name, inputs=inputs, outputs=outputs, states=states, **fields)
+        machine._finish(tables, *positions)
+        return machine
+
+    def _finish(self, tables: tuple, inputs=None, outputs=None, states=None) -> None:
+        """Both builders' last step: refuse repeated input, output and state
+        names, in that order, then the kind's `_refuse_gap`."""
+        inputs = _unique(self.inputs, "input symbol", inputs)
+        _unique(self.outputs, "output symbol", outputs)
+        states = _unique(self.states, "state", states)
+        self._refuse_gap(tables)
+        vars(self).update(index=states, input_index=inputs, _tables=tables)
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not set: a transition dict is read
+        # back, state-major with symbols in declaration order, and kept
+        if name not in self._dicts:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = vars(self)[name] = self._read_back(name)
+        return value
+
+    def check_state(self, state: str) -> int:
+        """The state's position; refuses a state the machine lacks."""
+        x = self.index.get(state)
+        if x is None:
+            raise ValidationError(f"unknown state {state!r} in {self._noun} {self.name!r}")
+        return x
+
+    def tables(self):
+        """Per label, as [label][state], each state's successor position,
+        -1 where there is none: a Mealy machine's per input, then its
+        outputs per input (None where unknown); an automaton's per input,
+        then per output.  Every call returns the same lists, which are
+        read-only."""
+        return self._tables
+
+
+class PartialMealyMachine(_Tabled):
     """A finite Mealy machine with a partial transition map.
 
     `delta` maps (state, input) to (output, successor); absent keys are the
@@ -313,22 +351,14 @@ class PartialMealyMachine(Record):
     map each state and each input to its position in `states` or `inputs`.
     """
 
-    name: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    states: tuple[str, ...]
     delta: Mapping[tuple[str, str], tuple[str, str]]
     total: bool = False
+    _dicts, _noun = ("delta",), "machine"
 
-    def _check(self):
-        vars(self).update(inputs=tuple(self.inputs), outputs=tuple(self.outputs), states=tuple(self.states),
-                          delta=dict(self.delta))
-        inputs = _unique(self.inputs, "input symbol")
-        outputs = _unique(self.outputs, "output symbol")
-        index = _unique(self.states, "state")
+    def _fill(self, inputs: dict, outputs: dict, index: dict, delta: Mapping) -> tuple:
         succ = [[-1] * len(index) for _ in inputs]
         out: list[list[Optional[str]]] = [[None] * len(index) for _ in inputs]
-        for (src, i), (o, dst) in self.delta.items():
+        for (src, i), (o, dst) in delta.items():
             x, k = index.get(src), inputs.get(i)
             if x is None:
                 raise ValidationError(f"transition from unknown state {src!r}")
@@ -340,105 +370,65 @@ class PartialMealyMachine(Record):
             if d is None:
                 raise ValidationError(f"transition to unknown state {dst!r}")
             succ[k][x], out[k][x] = d, o
+        return succ, out
+
+    def _refuse_gap(self, tables: tuple) -> None:
+        # the first missing transition, state-major, of a machine declared total
         if self.total:
-            _refuse_hole(self.states, self.inputs, succ)
-        vars(self).update(index=index, input_index=inputs, _tables=(succ, out))
+            for s, column in zip(self.states, zip(*tables[0])):
+                if -1 in column:
+                    raise ValidationError(f"machine declared total but {s!r} has no transition on "
+                                          f"{self.inputs[column.index(-1)]!r}")
 
-    @classmethod
-    def _from_tables(cls, name: str, inputs: tuple, outputs: tuple, states: tuple,
-                     succ: list[list[int]], out: list[list[Optional[str]]], total: bool = False,
-                     input_index: Optional[dict] = None, index: Optional[dict] = None):
-        """The machine whose `tables()` are `succ` and `out`, filled by a
-        caller that checked each transition: the parser, line by line, or
-        an observation tree, from its ranks.  It checks only what single
-        transitions cannot show: repeated input, output and state names,
-        in that order, then a hole in a machine declared total.  A caller
-        may pass the input and state positions it has, as `_unique` takes
-        them.  No `delta` is stored; it is read back on first use."""
-        input_index = _unique(inputs, "input symbol", input_index)
-        _unique(outputs, "output symbol")
-        index = _unique(states, "state", index)
-        if total:
-            _refuse_hole(states, inputs, succ)
-        machine = object.__new__(cls)
-        vars(machine).update(name=name, inputs=inputs, outputs=outputs, states=states, total=total,
-                             index=index, input_index=input_index, _tables=(succ, out))
-        return machine
-
-    def __getattr__(self, name: str):
-        # reached only for attributes not set: a machine built by
-        # `_from_tables` reads its `delta` back, state-major, and keeps it
-        if name != "delta" or "_tables" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        (succ, out), states, inputs = self._tables, self.states, self.inputs
-        delta = vars(self)["delta"] = {
-            (s, i): (out[k][x], states[d])
-            for x, s in enumerate(states) for k, i in enumerate(inputs) if (d := succ[k][x]) >= 0
-        }
-        return delta
-
-    def check_state(self, state: str) -> None:
-        if state not in self.index:
-            raise ValidationError(f"unknown state {state!r} in machine {self.name!r}")
+    def _read_back(self, name: str) -> dict:
+        (succ, out), states = self._tables, self.states
+        return {(s, i): (out[k][x], states[d])
+                for x, s in enumerate(states) for k, i in enumerate(self.inputs) if (d := succ[k][x]) >= 0}
 
     def successors(self, state: str) -> MealySuccessors:
-        self.check_state(state)
-        return MealySuccessors(
-            self.inputs, tuple([self.delta.get((state, i)) for i in self.inputs])
-        )
-
-    def tables(self) -> tuple[list[list[int]], list[list[Optional[str]]]]:
-        """Per input, each state's successor position (-1 when unknown) and
-        output (None when unknown), as [input][state].  The machine was
-        built with them; every call returns the same lists, which are
-        read-only."""
-        return self._tables
+        x, (succ, out), states = self.check_state(state), self._tables, self.states
+        return MealySuccessors(self.inputs, tuple([None if (d := row[x]) < 0 else (o[x], states[d])
+                                                   for row, o in zip(succ, out)]))
 
 
-class SuspensionAutomaton(Record):
+class SuspensionAutomaton(_Tabled):
     """A finite suspension automaton: partial input successors `din`, partial
     output successors `dout`, with every state non-blocking (at least one
     output transition).  `index` maps each state to its position in
     `states`."""
 
-    name: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    states: tuple[str, ...]
     din: Mapping[tuple[str, str], str]
     dout: Mapping[tuple[str, str], str]
+    _dicts, _noun = ("din", "dout"), "automaton"
 
-    def _check(self):
-        vars(self).update(inputs=tuple(self.inputs), outputs=tuple(self.outputs), states=tuple(self.states),
-                          din=dict(self.din), dout=dict(self.dout))
-        inputs = _unique(self.inputs, "input symbol")
-        outputs = _unique(self.outputs, "output symbol")
-        index = _unique(self.states, "state")
-        ins = _sa_table(index, inputs, self.din, "input")
-        outs = _sa_table(index, outputs, self.dout, "output")
+    def _fill(self, inputs: dict, outputs: dict, index: dict, din: Mapping, dout: Mapping) -> tuple:
+        tables = ([[-1] * len(index) for _ in inputs], [[-1] * len(index) for _ in outputs])
+        for what, labels, trans, rows in zip(("input", "output"), (inputs, outputs), (din, dout), tables):
+            for (src, label), dst in trans.items():
+                x, d = index.get(src), index.get(dst)
+                if x is None or d is None:
+                    raise ValidationError(f"{what} transition {src!r} -{label}-> {dst!r} uses unknown state")
+                k = labels.get(label)
+                if k is None:
+                    raise ValidationError(f"{what} transition on unknown symbol {label!r}")
+                rows[k][x] = d
+        return tables
+
+    def _refuse_gap(self, tables: tuple) -> None:
+        # a state without output transitions, which a machine without outputs has
         for x, s in enumerate(self.states):
-            if all(row[x] < 0 for row in outs):
+            if all(row[x] < 0 for row in tables[1]):
                 raise ValidationError(f"blocking state {s!r}: no output transition")
-        vars(self).update(index=index, _tables=(ins, outs))
 
-    def check_state(self, state: str) -> None:
-        if state not in self.index:
-            raise ValidationError(f"unknown state {state!r} in automaton {self.name!r}")
+    def _read_back(self, name: str) -> dict:
+        rows, labels = (self._tables[0], self.inputs) if name == "din" else (self._tables[1], self.outputs)
+        states = self.states
+        return {(s, a): states[d] for x, s in enumerate(states) for k, a in enumerate(labels) if (d := rows[k][x]) >= 0}
 
     def successors(self, state: str) -> SaSuccessors:
-        self.check_state(state)
-        return SaSuccessors(
-            self.inputs,
-            self.outputs,
-            tuple([self.din.get((state, a)) for a in self.inputs]),
-            tuple([self.dout.get((state, o)) for o in self.outputs]),
-        )
-
-    def tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per input, then per output, each state's successor position (-1
-        when there is none), as [label][state].  The constructor built them;
-        every call returns the same lists, which are read-only."""
-        return self._tables
+        x, states, (ins, outs) = self.check_state(state), self.states, self._tables
+        return SaSuccessors(self.inputs, self.outputs, tuple([None if (d := row[x]) < 0 else states[d] for row in ins]),
+                            tuple([None if (d := row[x]) < 0 else states[d] for row in outs]))
 
 
 class PowersetSystem(Record):

@@ -29,7 +29,7 @@ produces a canonical form that `parse` maps back to the same document.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import ParseError, Record, UbisimError, ValidationError
 from .machines import PartialMealyMachine, SuspensionAutomaton, _MEALY_OR_SA, _tables_of
@@ -77,6 +77,15 @@ class Document(Record):
 # parsing
 
 
+# each machine section's class and further fields, and per table of its
+# `tables()` the list of labels it is over and its blank entry
+_KINDS = {
+    "mealy": (PartialMealyMachine, {}, (("inputs", -1), ("inputs", None))),
+    "total-mealy": (PartialMealyMachine, {"total": True}, (("inputs", -1), ("inputs", None))),
+    "sa": (SuspensionAutomaton, {}, (("inputs", -1), ("outputs", -1))),
+}
+
+
 class _MachineBuilder:
     def __init__(self, kind: str, name: str, line: int):
         self.kind = kind
@@ -84,11 +93,8 @@ class _MachineBuilder:
         self.line = line
         self.lists: dict[str, tuple[str, ...]] = {}  # the inputs, outputs and states lines
         self.pos = {key: {} for key in ("inputs", "outputs", "states")}  # each name's position, filled as declared
-        # a mealy section's `tables()`, allocated once its states and inputs are declared
-        self.succ: list[list[int]] = []
-        self.out: list[list[Optional[str]]] = []
-        self.din: dict = {}
-        self.dout: dict = {}
+        # the section's `tables()`, each allocated once its states and its labels are declared
+        self.tables: tuple[list[list], list[list]] = ([], [])
 
     def need(self, what, line) -> dict:
         if what not in self.lists:
@@ -103,20 +109,19 @@ class _MachineBuilder:
                 raise ParseError(f"empty {key} list", line)
             self.lists[key] = tuple(args)
             self.pos[key].update(zip(args, range(len(args))))
-            if key != "outputs" and self.kind != "sa" and "inputs" in self.lists and "states" in self.lists:
-                n = len(self.lists["states"])
-                self.succ += ([-1] * n for _ in self.lists["inputs"])
-                self.out += ([None] * n for _ in self.lists["inputs"])
+            for table, (labels, blank) in zip(self.tables, _KINDS[self.kind][2]):
+                if key in (labels, "states") and labels in self.lists and "states" in self.lists:
+                    table += ([blank] * len(self.lists["states"]) for _ in self.lists[labels])
             return
+        # `parse` writes every valid transition line into the tables itself:
+        # what is left is a repeat
         if key == "trans":
-            if self.kind not in ("mealy", "total-mealy"):
+            if self.kind == "sa":
                 raise ParseError("trans line outside a mealy section", line)
             if len(args) != 4:
                 raise ParseError("trans needs <src> <in> <out> <dst>", line)
             for tok, what in zip(args, ("state", "input", "output", "state")):
                 self._check(tok, what, what + "s", line)
-            # `parse` writes every valid line into the tables itself: what
-            # is left is a repeat
             raise ParseError(f"duplicate transition for ({args[0]}, {args[1]})", line)
         if key in ("itrans", "otrans"):
             if self.kind != "sa":
@@ -127,11 +132,7 @@ class _MachineBuilder:
             self._check(src, "state", "states", line)
             self._check(dst, "state", "states", line)
             self._check(sym, "symbol", "inputs" if key == "itrans" else "outputs", line)
-            table = self.din if key == "itrans" else self.dout
-            if (src, sym) in table:
-                raise ParseError(f"duplicate {key} for ({src}, {sym})", line)
-            table[(src, sym)] = dst
-            return
+            raise ParseError(f"duplicate {key} for ({src}, {sym})", line)
         raise ParseError(f"unexpected {key!r} in a machine section", line)
 
     def _check(self, tok, what, key, line):
@@ -141,12 +142,10 @@ class _MachineBuilder:
     def build(self) -> Union[PartialMealyMachine, SuspensionAutomaton]:
         for what in ("inputs", "outputs", "states"):
             self.need(what, self.line)
-        lists = (self.lists["inputs"], self.lists["outputs"], self.lists["states"])
+        cls, fields, _ = _KINDS[self.kind]
         try:
-            if self.kind == "sa":
-                return SuspensionAutomaton(self.name, *lists, self.din, self.dout)
-            return PartialMealyMachine._from_tables(self.name, *lists, self.succ, self.out, self.kind == "total-mealy",
-                                                    self.pos["inputs"], self.pos["states"])
+            return cls._from_tables(self.name, *(self.lists[key] for key in self.pos), self.tables,
+                                    tuple(self.pos.values()), **fields)
         except UbisimError as exc:
             raise ParseError(str(exc), self.line) from None
 
@@ -196,7 +195,7 @@ class _PairsBuilder:
         return MapDecl(self.name, self.left, self.right, statemap)
 
 
-_SECTION_KEYS = ("mealy", "total-mealy", "sa", "map", "rel")
+_SECTION_KEYS = (*_KINDS, "map", "rel")
 
 
 def parse(text: str) -> Document:
@@ -208,8 +207,11 @@ def parse(text: str) -> Document:
     names: set[str] = set()
     machines: dict[str, Union[PartialMealyMachine, SuspensionAutomaton]] = {}
     builder: Union[_MachineBuilder, _PairsBuilder, None] = None
-    states = inputs = outputs = {}  # the open mealy section's positions of declared names
-    succ = out = []  # and its tables
+    # the open machine section's positions of declared names (a mealy one's
+    # inputs and outputs only) and a mealy one's tables; an sa one's are in
+    # `labels`, per keyword: its symbols' positions and its table
+    states = inputs = outputs = labels = {}
+    succ = out = []
 
     def close():
         if builder is not None:
@@ -231,25 +233,32 @@ def parse(text: str) -> Document:
             if x is not None and k is not None and d is not None and o in outputs and succ[k][x] < 0:
                 succ[k][x], out[k][x] = d, o
                 continue
+        elif len(toks) == 4 and toks[0] in labels:  # the same for itrans and otrans lines
+            (at, rows), (_, src, a, dst) = labels[toks[0]], toks
+            x, k, d = states.get(src), at.get(a), states.get(dst)
+            if x is not None and k is not None and d is not None and rows[k][x] < 0:
+                rows[k][x] = d
+                continue
         if not toks:
             continue
         key, args = toks[0], toks[1:]
         if key in _SECTION_KEYS:
             close()
-            states = inputs = outputs = {}
+            states = inputs = outputs = labels = {}
             if not args:
                 raise ParseError(f"{key} section needs a name", lineno)
             name = args[0]
             if name in names:
                 raise ParseError(f"duplicate section name {name!r}", lineno)
             names.add(name)
-            if key in ("mealy", "total-mealy", "sa"):
+            if key in _KINDS:
                 if len(args) != 1:
                     raise ParseError(f"{key} takes exactly one name", lineno)
                 builder = _MachineBuilder(key, name, lineno)
-                if key != "sa":
-                    inputs, outputs, states = builder.pos.values()
-                    succ, out = builder.succ, builder.out
+                inputs, outputs, states = builder.pos.values()
+                succ, out = builder.tables
+                if key == "sa":
+                    labels, inputs, outputs = {"itrans": (inputs, succ), "otrans": (outputs, out)}, {}, {}
             else:
                 if key == "rel" and len(args) == 3:
                     args += ["x", args[2]]  # a rel on one machine

@@ -8,7 +8,9 @@ import random
 from pathlib import Path
 
 from ubisim import (
+    MealySuccessors,
     PartialMealyMachine,
+    SaSuccessors,
     StateMap,
     SuspensionAutomaton,
     parse_file,
@@ -66,6 +68,22 @@ def totalize(m: PartialMealyMachine, output: str | None = None) -> PartialMealyM
         for i in m.inputs:
             delta.setdefault((s, i), (output, s))
     return PartialMealyMachine(m.name, m.inputs, m.outputs, m.states, delta, total=True)
+
+
+def assert_successors_read_the_tables(m) -> None:
+    """Every state's `successors` is the structure `make` builds from the
+    machine's transition dicts, and asking for them leaves those dicts
+    unbuilt: a machine whose dicts were not read yet passes."""
+    dicts = {"delta"} if isinstance(m, PartialMealyMachine) else {"din", "dout"}
+    assert not dicts & vars(m).keys()
+    got = [m.successors(s) for s in m.states]
+    assert not dicts & vars(m).keys()
+    if isinstance(m, PartialMealyMachine):
+        want = [MealySuccessors.make(m.inputs, {i: e for (x, i), e in m.delta.items() if x == s}) for s in m.states]
+    else:
+        want = [SaSuccessors.make(m.inputs, m.outputs, {a: d for (x, a), d in m.din.items() if x == s},
+                                  {o: d for (x, o), d in m.dout.items() if x == s}) for s in m.states]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

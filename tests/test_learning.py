@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_successors_read_the_tables,
     conflict_machine,
     lax_chain,
     quadruple,
@@ -344,7 +345,9 @@ def _growing_trees(rng, inputs, size, density, target, outputs=("x", "y", "z")):
 def _assert_tree_machine(tree):
     """The tree's machine is the one the validating constructor builds from
     the access words' names and the observations, and it is the source of
-    the lax morphism into that machine's totalization."""
+    the lax morphism into that machine's totalization.  Its successor
+    structures read its tables, not its `delta`."""
+    assert_successors_read_the_tables(tree.as_machine())
     machine, names = tree.as_machine(), distinct_names(map(node_id, tree.words()))
     name = dict(zip(tree.words(), names))
     delta = {(name[w], i): (o, name[(*w, i)]) for (w, i), o in tree.edges.items()}

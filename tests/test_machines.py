@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_successors_read_the_tables,
     conflict_machine,
     lax_chain,
     mealy_corpus,
@@ -45,6 +46,7 @@ from ubisim import (
     kernel,
     lax_identify,
     order_leq,
+    parse,
     relation_is_ioco_compatibility,
     relation_is_uncertain_bisimulation,
     render,
@@ -204,6 +206,52 @@ def test_mealy_tables_agree_with_delta():
 def test_sa_tables_agree_with_din_and_dout():
     for a in random_automata():
         assert_sa_tables(a)
+
+
+def test_successors_read_the_tables():
+    # constructed machines of both kinds, then the same machines parsed
+    constructed = [*mealy_corpus(100), *random_automata()]
+    for m in constructed:
+        assert_successors_read_the_tables(m)
+    renamed = [m.replace(name=f"m{k}") for k, m in enumerate(constructed)]
+    for m in parse(render(Document(tuple(renamed)))).machines().values():
+        assert_successors_read_the_tables(m)
+
+
+def test_a_constructed_machine_keeps_no_transition_dict():
+    # the constructor fills the tables from the caller's dicts and keeps
+    # none: each is read back on first use, state-major with symbols in
+    # declaration order, and later changes to the caller's dicts show nowhere
+    delta = {("u", "i"): ("x", "s"), ("t", "j"): ("y", "u"), ("s", "j"): ("x", "t"), ("s", "i"): ("y", "s")}
+    din = {("2", "a"): "1", ("1", "b"): "2", ("1", "a"): "1"}
+    dout = {("2", "y"): "2", ("1", "y"): "1", ("2", "x"): "1"}
+    m = PartialMealyMachine("m", ("i", "j"), ("x", "y"), ("s", "t", "u"), delta)
+    a = SuspensionAutomaton("c", ("a", "b"), ("x", "y"), ("1", "2"), din, dout)
+    expected = [
+        (m, "delta", delta, [("s", "i"), ("s", "j"), ("t", "j"), ("u", "i")]),
+        (a, "din", din, [("1", "a"), ("1", "b"), ("2", "a")]),
+        (a, "dout", dout, [("1", "y"), ("2", "x"), ("2", "y")]),
+    ]
+    given = {name: dict(trans) for _, name, trans, _ in expected}
+    tables = [[row[:] for row in table] for machine in (m, a) for table in machine.tables()]
+    for machine, name, trans, _ in expected:
+        assert name not in vars(machine)
+        trans.clear()
+    assert [table for machine in (m, a) for table in machine.tables()] == tables
+    for machine, name, _, order in expected:
+        assert list(getattr(machine, name)) == order
+        assert getattr(machine, name) == given[name]
+        assert vars(machine)[name] is getattr(machine, name)
+        assert machine.replace() == machine
+    assert repr(m) == ("PartialMealyMachine(name='m', inputs=('i', 'j'), outputs=('x', 'y'), states=('s', 't', 'u'), "
+                       "delta={('s', 'i'): ('y', 's'), ('s', 'j'): ('x', 't'), ('t', 'j'): ('y', 'u'), "
+                       "('u', 'i'): ('x', 's')}, total=False)")
+
+
+def test_an_automaton_without_outputs_blocks():
+    # every state of an automaton with no output symbol is blocking
+    with refused("blocking state 's': no output transition"):
+        SuspensionAutomaton("a", ("i",), (), ("s",), {}, {})
 
 
 def test_tables_are_built_once():

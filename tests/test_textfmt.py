@@ -237,6 +237,8 @@ PARSE_ERRORS = {
     "outputs-repeat": ("mealy m\ninputs i\noutputs o p o\nstates s\n", 1, "duplicate output symbol: 'o'"),
     "states-repeat": (MEALY.replace("s t", "s t s") + "trans s i o t\ntrans t j p s\n", 1, "duplicate state: 's'"),
     "sa-states-repeat": ("sa a\ninputs i\noutputs o\nstates s s\notrans s o s\n", 1, "duplicate state: 's'"),
+    "sa-states-repeat-before-blocking": ("sa a\ninputs i\noutputs o\nstates s t s\notrans s o s\n", 1,
+                                         "duplicate state: 's'"),
     # two faults on one line: the earlier check's message wins
     "kind-before-arity": (SA + "trans s i\n", 7, "trans line outside a mealy section"),
     "arity-before-declared": ("mealy m\ntrans s i o\n", 2, "trans needs <src> <in> <out> <dst>"),
@@ -257,6 +259,8 @@ PARSE_ERRORS = {
                                   "undeclared output 'q'"),
     "duplicate-before-states-repeat": ("mealy m\ninputs i\noutputs o\nstates s s\ntrans s i o s\ntrans s i o s\n",
                                        6, "duplicate transition for (s, i)"),
+    "sa-duplicate-before-states-repeat": ("sa a\ninputs i\noutputs o\nstates s s\notrans s o s\notrans s o s\n",
+                                          6, "duplicate otrans for (s, o)"),
     "states-repeat-before-hole": ("total-mealy m\ninputs i j\noutputs o\nstates s s\ntrans s i o s\n", 1,
                                   "duplicate state: 's'"),
     "close-before-header": ("sa a\ninputs i\noutputs o\nstates s\n\nmealy\n", 1,
@@ -419,6 +423,24 @@ def test_render_writes_transitions_in_declaration_order():
         "itrans 1 a 1\nitrans 1 b 2\nitrans 2 a 1\n"
         "otrans 1 x 2\notrans 1 y 1\notrans 2 x 1\notrans 2 y 2\n"
     )
+
+
+@pytest.mark.parametrize("text, built", [
+    # an itrans line before the outputs line: the tables are allocated per
+    # label list, once it and the states are declared
+    ("sa c\ninputs a\nstates 1 2\nitrans 1 a 2\noutputs x y\notrans 2 y 1\notrans 1 x 1\n",
+     SuspensionAutomaton("c", ("a",), ("x", "y"), ("1", "2"), {("1", "a"): "2"}, {("1", "x"): "1", ("2", "y"): "1"})),
+    # no itrans line
+    ("sa d\ninputs a b\noutputs x\nstates 1\notrans 1 x 1\n",
+     SuspensionAutomaton("d", ("a", "b"), ("x",), ("1",), {}, {("1", "x"): "1"})),
+])
+def test_sa_sections_fill_their_tables_line_by_line(text, built):
+    doc = parse(text)
+    a = doc.machines()[built.name]
+    assert not {"din", "dout"} & vars(a).keys()
+    assert (a.tables(), a.index) == (built.tables(), built.index)
+    assert a == built
+    assert parse(render(doc)) == doc
 
 
 def test_parsed_delta_is_read_back_from_the_tables_in_declaration_order():
