@@ -7,16 +7,15 @@ tree states only ever grows as more observations arrive, which is what
 makes it the useful notion during learning.
 
 A tree stores its nodes by position, in the order they were first
-observed, so a parent always comes before its children.  Each tree ranks
-its nodes in breadth-first order once, into a list of the edges into them
-with their parents' ranks; access words, node names, the tree's machine,
-the apartness frontier and lax morphisms out of the tree all read that
-list.
+observed, so a parent always comes before its children.  One
+breadth-first walk per tree ranks the edges into its nodes, names the
+nodes and indexes the names; access words, the tree's machine, the
+apartness frontier and lax morphisms out of the tree read them, and `==`
+compares the ranked edges, the tree's canonical form.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import ContractError, ObservationConflictError, Record, ValidationError
@@ -43,10 +42,11 @@ class ObservationTree:
     shape and prefix closure hold by construction.
 
     Trees are immutable: `record` returns a new tree.  Positions follow
-    the order of recording, but `==` compares alphabets and observations
-    (`edges`) only, so the same observations recorded in any order give
-    equal trees.  Ranks and names are each built once per tree, on first
-    use; `as_machine` builds the tree's machine from the ranks.
+    the order of recording, but `==` compares the alphabets and the
+    ranked edges, which list the observations breadth first, so the same
+    observations recorded in any order give equal trees.  Ranks, names
+    and the names' index come from one breadth-first walk per tree, on
+    first use; `as_machine` builds the tree's machine from them.
     """
 
     inputs: tuple[str, ...]
@@ -114,29 +114,28 @@ class ObservationTree:
         )
         return tree
 
-    @cached_property
-    def _ranked(self) -> list[tuple[int, int, str]]:
-        """The edge into each non-root node in `words()` order, as the
-        parent's rank, the input's position in `inputs` and the output:
-        entry r - 1 is the edge into the node of rank r (the root's is 0)."""
-        order, ranked, into, children = [0], [], self._into, self._children
-        for q, p in enumerate(order):  # breadth-first: the lists grow while read
+    def __getattr__(self, name: str):
+        """Reached only for attributes not set: the first read of `_ranked`,
+        `_names` or `_index` runs one breadth-first walk that sets all three.
+        `_ranked` lists the edge into each non-root node in `words()` order,
+        as the parent's rank, the input's position in `inputs` and the
+        output (entry r - 1 is the edge into rank r; the root's rank is 0).
+        `_names` holds each node's access word joined by `node_id`, built
+        from its parent's, made distinct by `distinct_names` (inputs "i.j"
+        and "i" "j", or an input "ε", get primes); `_index` maps each name
+        to its rank."""
+        if name not in ("_ranked", "_names", "_index"):
+            raise AttributeError(f"'ObservationTree' object has no attribute {name!r}")
+        order, ranked, names, into, children, inputs = [0], [], [ROOT_ID], self._into, self._children, self.inputs
+        for q, p in enumerate(order):  # the lists grow while read
             for k, c in enumerate(children[p]):
                 if c >= 0:
                     order.append(c)
                     ranked.append((q, k, into[c][2]))
-        return ranked
-
-    @cached_property
-    def _names(self) -> list[str]:
-        """Node names by rank: each node's access word joined by `node_id`,
-        built from its parent's, with primes appended by `distinct_names`
-        where two words join to the same id (inputs "i.j" and "i" "j", or
-        an input "ε")."""
-        names, inputs = [ROOT_ID], self.inputs
-        for q, k, _ in self._ranked:
-            names.append(f"{names[q]}.{inputs[k]}" if q else inputs[k])
-        return distinct_names(names)
+                    names.append(f"{names[q]}.{inputs[k]}" if q else inputs[k])
+        names = tuple(distinct_names(names))
+        vars(self).update(_ranked=ranked, _names=names, _index=dict(zip(names, range(len(names)))))
+        return vars(self)[name]
 
     def words(self) -> list[tuple[str, ...]]:
         """All access words, shortest first, then by input declaration order."""
@@ -166,24 +165,24 @@ class ObservationTree:
 
     def as_machine(self) -> PartialMealyMachine:
         """The tree as a partial Mealy machine named "tree", whose states are
-        the `_names` of the access words in `words()` order, so every
-        relation and morphism operation applies.  Its tables are filled in
-        one pass over the ranked edges, without the constructor's
-        per-transition checks, which the tree guarantees: one edge per
-        node and input, with the node's rank as successor.  Its `delta`
-        is built from them when first read."""
+        the `_names` of the access words in `words()` order, indexed by
+        `_index`, so every relation and morphism operation applies.  Its
+        tables are filled in one pass over the ranked edges, without the
+        constructor's per-transition checks, which the tree guarantees:
+        one edge per node and input, with the node's rank as successor.
+        Its `delta` is built from them when first read."""
         n = len(self._ranked) + 1
         succ = [[-1] * n for _ in self.inputs]
         out: list[list[Optional[str]]] = [[None] * n for _ in self.inputs]
         for r, (q, k, o) in enumerate(self._ranked, 1):
             succ[k][q], out[k][q] = r, o
-        return PartialMealyMachine._from_tables("tree", self.inputs, self.outputs, tuple(self._names), (succ, out),
-                                                (self._ipos, self._opos))
+        return PartialMealyMachine._from_tables("tree", self.inputs, self.outputs, self._names, (succ, out),
+                                                (self._ipos, self._opos, self._index))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationTree):
             return NotImplemented
-        return (self.inputs, self.outputs, self.edges) == (other.inputs, other.outputs, other.edges)
+        return (self.inputs, self.outputs, self._ranked) == (other.inputs, other.outputs, other._ranked)
 
     def __repr__(self) -> str:
         return f"ObservationTree(inputs={self.inputs!r}, outputs={self.outputs!r}, edges={self.edges!r})"
@@ -313,5 +312,4 @@ def find_lax_morphism_from_tree(
         if out[k][x] != o:  # None where the hypothesis has no transition
             return TreeConflict(tree.words()[r])
         images.append(succ[k][x])
-    states = hypothesis.states
-    return StateMap(tree.as_machine(), hypothesis, {n: states[x] for n, x in zip(tree._names, images)})
+    return StateMap(tree.as_machine(), hypothesis, dict(zip(tree._names, map(hypothesis.states.__getitem__, images))))

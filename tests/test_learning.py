@@ -359,21 +359,76 @@ def _assert_tree_machine(tree):
     morphism = find_lax_morphism_from_tree(tree, totalize(checked), names[0])
     assert morphism.source == checked
     assert morphism.mapping == dict(zip(names, names))
+    assert list(morphism.mapping) == list(machine.states)  # in `words()` order
 
 
 @pytest.mark.parametrize("inputs", ALPHABETS)
 def test_ranks_and_names_match_their_definitions(inputs):
-    # the ranked edges are the edges in a breadth-first walk, and each
-    # node's name is its access word's `node_id`, made distinct
-    trees = [ObservationTree.empty(inputs, ("x",)), *_growing_trees(random.Random(1), inputs, 5, 0.8, 80)]
-    assert len(trees[-1]._into) >= 80
-    for tree in trees:
+    # the ranked edges are the edges in a breadth-first walk, each node's
+    # name is its access word's `node_id`, made distinct, and the index
+    # maps each name to its rank; one walk sets all three, whichever is
+    # read first on a fresh tree
+    def trees():  # lazily, so each tree is fresh when it arrives
+        last = ObservationTree.empty(inputs, ("x",))
+        yield last
+        for tree in _growing_trees(random.Random(1), inputs, 5, 0.8, 80):
+            if tree is not last:  # a record that adds no node returns its tree
+                yield tree
+            last = tree
+
+    walked = ("_ranked", "_names", "_index")
+    firsts = ("_names", "_index", "_ranked")
+    for tree, *fresh in zip(trees(), *(trees() for _ in firsts)):
+        for first, copy in zip(firsts, fresh):
+            assert not vars(copy).keys() & set(walked)
+            getattr(copy, first)
+            assert vars(copy).keys() >= set(walked)
         order = _breadth_first(tree)
         rank = {p: r for r, p in enumerate(order)}
         expected = [(rank[q], k, o) for q, k, o in (tree._into[p] for p in order[1:])]
         assert tree._ranked == expected
-        assert tree._names == distinct_names(map(node_id, tree.words()))
+        assert list(tree._names) == distinct_names(map(node_id, tree.words()))
+        assert tree._index == {name: r for r, name in enumerate(tree._names)} == tree.as_machine().index
+        for copy in fresh:
+            assert [getattr(copy, a) for a in walked] == [getattr(tree, a) for a in walked]
         _assert_tree_machine(tree)
+    assert len(tree._into) >= 80
+    with pytest.raises(AttributeError, match="_rank"):
+        tree._rank
+
+
+def _reference(tree):
+    """`==`'s earlier definition, kept as the reference: the alphabets and
+    the observations keyed by access word."""
+    return tree.inputs, tree.outputs, tree.edges
+
+
+@pytest.mark.parametrize("inputs", ALPHABETS)
+def test_equality_matches_the_observations(inputs):
+    # `==` compares the alphabets and the ranked edges; it agrees with the
+    # reference on the same queries recorded in shuffled order (equal),
+    # over a permuted input alphabet (unequal, also where the symbols are
+    # renamed along the permutation, so the ranked edges are the same),
+    # and on consecutive trees of a growing run
+    rng, previous, reordered = random.Random(3), None, 0
+    permuted = inputs[1:] + inputs[:1]
+    rename = dict(zip(inputs, permuted))
+    for tree in _growing_trees(random.Random(3), inputs, 5, 0.8, 60):
+        queries = [(word, tree.output_along(word)) for word in tree.words()[1:]]
+        rng.shuffle(queries)
+        shuffled = ObservationTree.empty(inputs, tree.outputs)
+        moved = renamed = ObservationTree.empty(permuted, tree.outputs)
+        for word, outs in queries:
+            shuffled, moved = shuffled.record(word, outs), moved.record(word, outs)
+            renamed = renamed.record([rename[i] for i in word], outs)
+        reordered += shuffled._into != tree._into
+        assert _reference(shuffled) == _reference(tree) and shuffled == tree
+        assert _reference(moved) != _reference(tree) and moved != tree
+        assert renamed._ranked == tree._ranked and renamed != tree and _reference(renamed) != _reference(tree)
+        if previous is not None:
+            assert (tree == previous) == (_reference(tree) == _reference(previous))
+        previous = tree
+    assert len(tree._into) >= 60 and reordered > 0
 
 
 @settings(max_examples=20, deadline=None)
