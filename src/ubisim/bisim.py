@@ -24,13 +24,15 @@ definition, are in `lifting`.
 
 The dead pairs are kept as rows, one Python int per state x whose bit y
 stands for the pair (x, y), and they propagate a row at a time: the bits
-a row gains reach the rows of its predecessors through one OR of
-precomputed predecessor rows per label.  A step is then an integer
+a row gains reach the rows of its predecessors through one sum of
+precomputed predecessor rows per label.  A label is a partial function,
+so those rows are disjoint and their C-level `sum` is their OR, with no
+Python call per row (BENCH_pr30.json).  A step is then an integer
 operation on an n-bit row, done in C a machine word at a time, where the
 pair-at-a-time propagation paid a Python loop iteration per pair.  The
 engines read each machine's dense successor arrays from its `tables()`,
-which the machine filled while it validated its transitions.  Rows
-are what a `Relation` stores, so the engines hand theirs over as they are.
+which the machine filled while it validated its transitions.  Rows are
+what a `Relation` stores, so the engines hand theirs over as they are.
 """
 
 from __future__ import annotations
@@ -62,14 +64,15 @@ class ApartnessWitness(Record):
 
 def _predecessors(n: int, succ: list[int]) -> tuple[list[list[int]], list[int], int]:
     """Per state b, the states that step to b, as a list and as a row; and
-    the row of all states that step somewhere."""
+    the row of all states that step somewhere.  Each state steps to at most
+    one b, so the rows are disjoint, and their sum is their OR."""
     pred: list[list[int]] = [[] for _ in range(n)]
     mask = [0] * n
     for x, d in enumerate(succ):
         if d >= 0:
             pred[d].append(x)
             mask[d] |= 1 << x
-    return pred, mask, reduce(or_, mask, 0)
+    return pred, mask, sum(mask)
 
 
 def _dead_pairs(
@@ -90,17 +93,19 @@ def _dead_pairs(
     The dead pairs are a least fixpoint, found by propagating each death
     backwards once, a row at a time.  When row a gains the bits D, the
     states a label leads to a are pred[a], and the states it leads into D
-    are the OR of its predecessor rows over the bits of D (or, when fewer,
-    over the bits outside D, taken out of the states the label is defined
-    on), so every x in pred[a] gains its new pairs in one operation.  Only
-    the bits a row gains are queued, merged while the row waits; a single
-    bit needs no scan.  Each (pair, label) is reached once, and a run
-    takes O(n^2 * labels) operations on n-bit rows: a row has at most n
-    deltas, each one operation per predecessor and label, and its deltas
-    scan at most n bits per label in all.  Rows are first taken in
-    depth-first post-order, so a row waits for the rows its states step
-    to: on a one-input cycle, whose pairs die one bit per row at a time,
-    each row is then taken about once rather than once per bit.
+    are the sum of its predecessor rows over the bits of D (or, when
+    fewer, over the bits outside D, taken out of the states the label is
+    defined on), so every x in pred[a] gains its new pairs in one
+    operation.  The label leads each state to at most one state, so its
+    predecessor rows are disjoint and their sum is their OR.  Only the
+    bits a row gains are queued, merged while the row waits; a single bit
+    needs no scan.  Each (pair, label) is reached once, and a run takes
+    O(n^2 * labels) operations on n-bit rows: a row has at most n deltas,
+    each one operation per predecessor and label, and its deltas scan at
+    most n bits per label in all.  Rows are first taken in depth-first
+    post-order, so a row waits for the rows its states step to: on a
+    one-input cycle, whose pairs die one bit per row at a time, each row
+    is then taken about once rather than once per bit.
 
     For an existential label each state keeps the row of partners with
     which the label still leads to a live pair; a pair dies when no
@@ -138,7 +143,7 @@ def _dead_pairs(
             if b >= 0:
                 hit = masks[b]
             else:
-                hit = reduce(or_, compress(masks, flags), 0)
+                hit = sum(compress(masks, flags))
                 if outside:
                     hit ^= defined
             for x in xs if hit else ():
@@ -163,18 +168,19 @@ def _dead_pairs(
 def _post_order(n: int, labels: Sequence[list[int]]) -> list[int]:
     """The states 0..n-1 in depth-first post-order along the successors of
     all labels: each state after the states it reaches, but around cycles."""
+    steps = list(zip(*labels)) if labels else [()] * n  # per state, its successors
     seen = bytearray(n)
     order: list[int] = []
     for root in range(n):
         if not seen[root]:
             seen[root] = 1
-            stack = [(root, iter([succ[root] for succ in labels]))]
+            stack = [(root, iter(steps[root]))]
             while stack:
                 x, nexts = stack[-1]
                 for d in nexts:
                     if d >= 0 and not seen[d]:
                         seen[d] = 1
-                        stack.append((d, iter([succ[d] for succ in labels])))
+                        stack.append((d, iter(steps[d])))
                         break
                 else:
                     stack.pop()
@@ -189,7 +195,7 @@ def _differing(keys: list) -> list[int]:
     for x, k in enumerate(keys):
         if k is not None:
             classes[k] = classes.get(k, 0) | 1 << x
-    keyed = reduce(or_, classes.values(), 0)
+    keyed = sum(classes.values())
     return [0 if k is None else keyed ^ classes[k] for k in keys]
 
 

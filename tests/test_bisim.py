@@ -1,4 +1,7 @@
 import random
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 import pytest
 
@@ -14,15 +17,18 @@ from helpers import (
     quadruple,
     random_partial_mealy,
     random_sa,
+    random_total_mealy,
     sa_cycle,
     sa_pair,
     words_up_to,
 )
 from ubisim import (
     ApartnessWitness,
+    ObservationTree,
     PartialMealyMachine,
     Relation,
     SuspensionAutomaton,
+    Teacher,
     ValidationError,
     apartness_witness,
     bisimilarity,
@@ -586,3 +592,103 @@ def test_bisimilarity_seeded_by_defined_inputs_only():
     rel = bisimilarity(m)
     assert rel.pairs == rounds_fixpoint(m.states, bisimilarity_violates(m))
     assert Relation.identity(m.states).pairs < rel.pairs < same_inputs
+
+
+# ---------------------------------------------------------------------------
+# the propagation kernel's precondition, and its depth-first post-order
+
+
+def kernel_labels():
+    """(name, n, successor arrays) of Mealy machines, per input, and of
+    automata, per input and per output, of 20 to 200 states: rows narrower
+    and wider than a 64-bit machine word.  One machine has an input defined
+    nowhere, and one has no inputs, so no label at all."""
+    rng = random.Random(3030)
+    states = tuple(f"s{k}" for k in range(20))
+    machines = [
+        random_partial_mealy(rng, n, 3, 2, density=density)
+        for n, density in ((20, 0.5), (63, 0.9), (64, 0.7), (65, 0.3), (130, 0.7), (200, 1.0))
+    ]
+    machines += [
+        mealy_chain(100, 2),
+        mealy_cycle(70),
+        PartialMealyMachine(
+            "nowhere", ("a", "b"), ("x",), states, {(s, "a"): ("x", states[k // 2]) for k, s in enumerate(states)}
+        ),
+        PartialMealyMachine("no_inputs", (), ("x",), states, {}),
+    ]
+    for m in machines:
+        yield m.name, len(m.states), m.tables()[0]
+    automata = [random_sa(rng, n, inputs=("a", "b"), outputs=("u", "v", "w")) for n in (20, 64, 65, 200)]
+    automata += [random_sa(rng, 120, in_density=0.9, out_density=0.9), sa_cycle(90)]
+    for a in automata:
+        ins, outs = a.tables()
+        yield a.name, len(a.states), [*ins, *outs]
+
+
+def test_predecessor_rows_are_disjoint():
+    # `_dead_pairs` ORs a label's predecessor rows by summing them, which is
+    # sound because each state steps to at most one state on a label: the
+    # rows share no bit, their sum is their OR, also over any subset of
+    # them, and each row holds exactly the states listed as predecessors
+    rng = random.Random(3031)
+    seen_nowhere = seen_no_inputs = False
+    for name, n, labels in kernel_labels():
+        seen_no_inputs |= not labels
+        for succ in labels:
+            pred, mask, defined = ubisim.bisim._predecessors(n, succ)
+            union = 0
+            for row in mask:
+                assert not row & union, name
+                union |= row
+            assert sum(mask) == reduce(or_, mask, 0) == defined == union, name
+            assert defined == sum(1 << x for x, d in enumerate(succ) if d >= 0), name
+            for b in range(n):
+                assert pred[b] == [x for x, d in enumerate(succ) if d == b], name
+                assert pred[b] == [x for x in range(n) if mask[b] >> x & 1], name
+            for _ in range(5):
+                flags = [rng.random() < 0.5 for _ in range(n)]
+                assert sum(compress(mask, flags)) == reduce(or_, compress(mask, flags), 0), name
+            if not defined:
+                seen_nowhere = True
+                assert pred == [[]] * n and mask == [0] * n, name
+    assert seen_nowhere and seen_no_inputs
+    # with no label the engine propagates nothing: the dead pairs are the seeds
+    seeds = [rng.getrandbits(20) for _ in range(20)]
+    assert ubisim.bisim._dead_pairs(20, [], seeds) == seeds
+
+
+def observation_tree_machines():
+    """Trees of 20 to a few hundred nodes, as machines: acyclic, with
+    gaps where a node has no child on an input."""
+    rng = random.Random(3033)
+    for size, queries, length in ((5, 14, 4), (30, 50, 6), (60, 150, 8)):
+        hidden = random_total_mealy(rng, size, 3, 2)
+        teacher, tree = Teacher(hidden, hidden.states[0]), ObservationTree.empty(hidden.inputs, hidden.outputs)
+        for _ in range(queries):
+            word = [rng.choice(hidden.inputs) for _ in range(rng.randint(1, length))]
+            tree = tree.record(word, teacher.output_query(word))
+        yield tree.as_machine()
+
+
+def test_post_order_is_a_post_order():
+    # a permutation of the states on every successor graph; on an acyclic
+    # one, each state comes after its successors, and so after every
+    # state it reaches
+    for name, n, labels in kernel_labels():
+        assert sorted(ubisim.bisim._post_order(n, labels)) == list(range(n)), name
+    trees = list(observation_tree_machines())
+    assert 20 <= len(trees[0].states) and len(trees[-1].states) >= 200
+    acyclic = [mealy_chain(n, inputs) for n in (1, 2, 50, 130) for inputs in (1, 3)]
+    for m in [*acyclic, conflict_machine(), *trees]:
+        n, succ = len(m.states), m.tables()[0]
+        order = ubisim.bisim._post_order(n, succ)
+        assert sorted(order) == list(range(n)), m.name
+        position = {x: k for k, x in enumerate(order)}
+        for x in range(n):
+            for step in succ:
+                assert step[x] < 0 or position[step[x]] < position[x], (m.name, x)
+    # with no labels nothing is reached, and the order is the states' own
+    for n in (0, 1, 20, 65):
+        assert ubisim.bisim._post_order(n, []) == list(range(n))
+    assert ubisim.bisim._post_order(0, [[], []]) == []
