@@ -20,13 +20,11 @@ import sys
 _EXPORTS = {
     "bisim": ("ApartnessWitness", "apartness_witness", "bisimilarity", "ioco_compatibility",
               "relation_is_ioco_compatibility", "uncertain_bisimilarity"),
-    "errors": ("ContractError", "EnumerationLimitError", "ObservationConflictError",
-               "ParseError", "UbisimError", "ValidationError"),
+    "errors": ("ContractError", "ObservationConflictError", "ParseError", "UbisimError",
+               "ValidationError"),
     "learning": ("ObservationTree", "Teacher", "TreeConflict", "find_lax_morphism_from_tree",
                  "query_and_record", "tree_apartness_frontier"),
-    "lifting": ("in_lifting", "in_uncertain_lifting", "in_uncertain_lifting_enumerated",
-                "relation_is_uncertain_bisimulation", "semantic_oracle_uncertain",
-                "stability_check"),
+    "lifting": ("in_lifting", "in_uncertain_lifting", "relation_is_uncertain_bisimulation"),
     "machines": ("MealySuccessors", "PartialMealyMachine", "PowSuccessors", "PowersetSystem",
                  "SaSuccessors", "SuspensionAutomaton", "disjoint_union", "eval_semantics",
                  "map_structure", "order_leq", "run"),

@@ -19,8 +19,9 @@ predecessor worklist (Kanellakis and Smolka, 1990) would re-examine only
 the states whose successors moved, which pays off only on chains and
 cycles, where each round splits one class; the machines this library
 serves split many classes a round, and the whole rounds alone are as
-fast on them.  The references of uncertain bisimilarity, by the
-definition, are in `lifting`.
+fast on them.  The definition of uncertain bisimilarity is in `lifting`;
+the tests check these engines against references built on it, in
+`tests/references.py`.
 
 The dead pairs are kept as rows, one Python int per state x whose bit y
 stands for the pair (x, y), and they propagate a row at a time: the bits

@@ -80,10 +80,6 @@ class ContractError(UbisimError):
     empty word where a non-empty one is required, wrong machine kind, ..."""
 
 
-class EnumerationLimitError(UbisimError):
-    """An exhaustive check was asked to enumerate beyond its size cap."""
-
-
 class ObservationConflictError(UbisimError):
     """A recorded observation contradicts an earlier one.  Carries the
     longest prefix on which the clash occurs."""

@@ -1,5 +1,6 @@
 """Shared test helpers: fixture loading, random system generators, and the
-independent oracles used to cross-check the library's decision procedures."""
+independent oracles used to cross-check the library's decision procedures.
+The references by the uncertain lifting's definition are in `references.py`."""
 
 from __future__ import annotations
 

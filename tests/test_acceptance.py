@@ -17,6 +17,7 @@ from helpers import (
     random_sa,
     sa_pair,
 )
+from references import all_mealy_successors, semantic_oracle_uncertain, stability_check
 from test_cli import GOLDEN, load_golden, run_cli
 from ubisim import (
     ApartnessWitness,
@@ -42,13 +43,10 @@ from ubisim import (
     relation_is_uncertain_bisimulation,
     render,
     restrict_along,
-    semantic_oracle_uncertain,
-    stability_check,
     uncertain_bisimilarity,
     witness_violations,
 )
 from ubisim.learning import ObservationTree, node_id
-from ubisim.lifting import all_mealy_successors
 from ubisim.morphisms import Conflict
 
 

@@ -37,10 +37,10 @@ from ubisim import (
     ioco_compatibility,
     relation_is_ioco_compatibility,
     relation_is_uncertain_bisimulation,
-    semantic_oracle_uncertain,
     uncertain_bisimilarity,
 )
-from ubisim.lifting import _refuses, _shrink_rounds
+from references import _shrink_rounds, semantic_oracle_uncertain
+from ubisim.lifting import _refuses
 
 # ---------------------------------------------------------------------------
 # the defining clauses, restated for the round-based fixpoint: each says
@@ -209,7 +209,7 @@ def test_oracle_both_paths_agree():
 
 def test_oracle_fallback_logs(caplog):
     m = conflict_machine()
-    with caplog.at_level("INFO", logger="ubisim.lifting"):
+    with caplog.at_level("INFO", logger="references"):
         semantic_oracle_uncertain(m, "p", "q", budget=0)
     assert any("lifting's greatest fixpoint" in rec.message for rec in caplog.records)
 
@@ -232,7 +232,7 @@ def test_oracle_is_independent_of_the_engine(monkeypatch, caplog):
 
     monkeypatch.setattr(ubisim.bisim, "apartness_witness", broken)
     monkeypatch.setattr(ubisim.bisim, "_dead_pairs", broken)
-    with caplog.at_level("INFO", logger="ubisim.lifting"):
+    with caplog.at_level("INFO", logger="references"):
         for m, rel in corpus:
             for x in m.states:
                 for y in m.states:

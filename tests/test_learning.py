@@ -14,6 +14,7 @@ from helpers import (
     totalize,
     words_up_to,
 )
+from references import semantic_oracle_uncertain
 from ubisim import (
     ContractError,
     ObservationConflictError,
@@ -27,7 +28,6 @@ from ubisim import (
     lax_identify,
     query_and_record,
     run,
-    semantic_oracle_uncertain,
     tree_apartness_frontier,
 )
 from ubisim.bisim import _mealy_dead

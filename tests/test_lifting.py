@@ -8,26 +8,26 @@ from helpers import (
     mealy_canonical_entry_pairs,
     mealy_uncertain_entry_pairs,
 )
+from references import (
+    EnumerationLimitError,
+    all_mealy_successors,
+    all_pow_successors,
+    all_sa_successors,
+    completions,
+    in_uncertain_lifting_enumerated,
+    stability_check,
+)
 from ubisim import (
     ContractError,
-    EnumerationLimitError,
     MealySuccessors,
     PowSuccessors,
     Relation,
     ValidationError,
     in_lifting,
     in_uncertain_lifting,
-    in_uncertain_lifting_enumerated,
     inverse_image,
     map_structure,
     order_leq,
-    stability_check,
-)
-from ubisim.lifting import (
-    all_mealy_successors,
-    all_pow_successors,
-    all_sa_successors,
-    completions,
 )
 
 

@@ -17,6 +17,7 @@ from helpers import (
     sa_pair,
     words_up_to,
 )
+from references import all_mealy_successors, all_pow_successors, all_sa_successors, semantic_oracle_uncertain
 from ubisim import (
     ContractError,
     Document,
@@ -52,13 +53,11 @@ from ubisim import (
     render,
     restrict_along,
     run,
-    semantic_oracle_uncertain,
     simulation_violation,
     synthesize_span_structure,
     uncertain_bisimilarity,
     witness_violations,
 )
-from ubisim.lifting import all_mealy_successors, all_pow_successors, all_sa_successors
 from ubisim.machines import assemble, distinct_names, map_structure, order_failures
 
 
