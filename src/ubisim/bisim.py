@@ -279,9 +279,7 @@ def apartness_witness(m: PartialMealyMachine, x: str, y: str) -> Optional[Apartn
     broken by input declaration order.
     """
     succ, out = _tables_of(m, PartialMealyMachine, "apartness_witness")
-    m.check_state(x)
-    m.check_state(y)
-    start = (m.index[x], m.index[y])
+    start = m.check_state(x), m.check_state(y)
     queue, seen = deque([(*start, ())]), {start}
     while queue:
         u, v, word = queue.popleft()

@@ -203,9 +203,8 @@ class Teacher:
 
     def __init__(self, hidden: PartialMealyMachine, initial: str):
         _tables_of(hidden, PartialMealyMachine, "Teacher")
-        hidden.check_state(initial)
+        self._start = hidden.check_state(initial)
         self._hidden = hidden
-        self._start = hidden.index[initial]
         self._count = 0
         self._symbols = 0
 
@@ -303,10 +302,9 @@ def find_lax_morphism_from_tree(
     """
     from .morphisms import StateMap  # only here: `learn-demo` needs no morphisms
     succ, out = _tables_of(hypothesis, PartialMealyMachine, "find_lax_morphism_from_tree")
-    hypothesis.check_state(root_target)
+    images = [hypothesis.check_state(root_target)]
     _shared_alphabets(tree, hypothesis, "find_lax_morphism_from_tree")
     at = [hypothesis.input_index[i] for i in tree.inputs]  # the hypothesis's position of each tree input
-    images = [hypothesis.index[root_target]]
     for r, (q, k, o) in enumerate(tree._ranked, 1):  # parents first, shortest words first
         x, k = images[q], at[k]
         if out[k][x] != o:  # None where the hypothesis has no transition

@@ -16,7 +16,6 @@ the stability scan) live with the tests, in `tests/references.py`.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Callable
 
 from .errors import ContractError
@@ -27,7 +26,6 @@ from .machines import (
     SaSuccessors,
     Successors,
     _check_carriers,
-    order_failures,
 )
 from .relations import Relation
 
@@ -42,30 +40,31 @@ def _check_args(rel: Relation, *pair: Successors) -> None:
         t, s = pair
         if type(t) is not type(s) or any(getattr(t, a, ()) != getattr(s, a, ()) for a in ("inputs", "outputs")):
             raise ContractError("lifting membership needs two structures of one kind over one alphabet order")
-    for ref in itertools.chain.from_iterable(t.refs() for t in pair):
-        if ref not in rel._lpos:
-            raise ContractError(f"successor {ref!r} is outside the relation's carrier")
+    if not rel._lpos.keys() >= {ref for t in pair for ref in t.refs()}:
+        stray = next(ref for t in pair for ref in t.refs() if ref not in rel._lpos)  # the first, t's before s's
+        raise ContractError(f"successor {stray!r} is outside the relation's carrier")
 
 
 def in_lifting(rel: Relation, t: Successors, s: Successors) -> bool:
-    """Canonical lifting membership.
+    """Canonical lifting membership, position by position (`_check_args`
+    gives t and s one alphabet order).
 
     Mealy: t and s are defined on exactly the same inputs, with equal
     outputs and relation-linked successors.  Suspension: same defined
-    inputs and outputs, successors linked.  Powerset: every element of t
-    has a partner in s and vice versa.
+    inputs and outputs, successors linked, and an output on both sides.
+    Powerset: every element of t has a partner in s and vice versa.
     """
     _check_args(rel, t, s)
-    if isinstance(t, SaSuccessors) and not (t.has_output and s.has_output):
+    if isinstance(t, PowSuccessors):
+        return (all(any((x, y) in rel for y in s.elems) for x in t.elems)
+                and all(any((x, y) in rel for x in t.elems) for y in s.elems))
+    if isinstance(t, MealySuccessors):
+        return all((te is None) == (se is None) and (te is None or te[0] == se[0] and (te[1], se[1]) in rel)
+                   for te, se in zip(t.entries, s.entries))
+    if not (t.has_output and s.has_output):
         return False  # a witness must itself have a non-empty output part
-    if not isinstance(t, PowSuccessors):
-        # each side's entries are matched by the other's, through rel
-        there = order_failures(t, s, lambda a, b: (a, b) in rel)
-        back = order_failures(s, t, lambda a, b: (b, a) in rel)
-        return next(there, None) is None and next(back, None) is None
-    left_ok = all(any((x, y) in rel for y in s.elems) for x in t.elems)
-    right_ok = all(any((x, y) in rel for x in t.elems) for y in s.elems)
-    return left_ok and right_ok
+    return all((te is None) == (se is None) and (te is None or (te, se) in rel)
+               for te, se in zip(t.in_entries + t.out_entries, s.in_entries + s.out_entries))
 
 
 def in_uncertain_lifting(rel: Relation, t: Successors, s: Successors) -> bool:

@@ -530,8 +530,7 @@ def run(machine: PartialMealyMachine, state: str, word: Sequence[str]) -> Option
     """Follow `word` from `state`; the reached state, or None as soon as a
     transition is missing.  The empty word returns `state` itself."""
     _tables_of(machine, PartialMealyMachine, "run")
-    machine.check_state(state)
-    x, _ = _walk(machine, machine.index[state], word)
+    x, _ = _walk(machine, machine.check_state(state), word)
     return None if x < 0 else machine.states[x]
 
 
@@ -546,8 +545,7 @@ def eval_semantics(machine: PartialMealyMachine, state: str, word: Sequence[str]
     if not word:
         raise ContractError("eval_semantics requires a non-empty word")
     _tables_of(machine, PartialMealyMachine, "eval_semantics")
-    machine.check_state(state)
-    x, outs = _walk(machine, machine.index[state], word)
+    x, outs = _walk(machine, machine.check_state(state), word)
     return None if x < 0 else outs[-1]
 
 

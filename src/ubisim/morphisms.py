@@ -19,7 +19,6 @@ from .machines import (
     _same_shape,
     _tables_of,
     distinct_names,
-    map_structure,
     order_failures,
 )
 from .relations import Relation, kernel_relation
@@ -80,20 +79,21 @@ def check_morphism(h: StateMap, kind: str) -> MorphismReport:
     """Check a state map as a strict, lax or oplax morphism.
 
     Lax compares the mapped one-step behaviour below the image's, oplax
-    above it, strict requires equality.  Every failure is reported with
+    above it, strict requires equality: `order_failures` with the map as
+    the link, so no mapped copy is built.  Every failure is reported with
     the concrete state and symbol, in state declaration order.
     """
     if kind not in KINDS:
         raise ContractError(f"unknown morphism kind {kind!r}")
+    f = h.mapping
     found: dict[tuple[str, str, str], str] = {}
     for x in h.source.states:
-        mapped = map_structure(h.source.successors(x), h.mapping)
-        image = h.target.successors(h(x))
+        t, image = h.source.successors(x), h.target.successors(f[x])
         if kind in ("lax", "strict"):
-            for side, symbol in order_failures(mapped, image):
+            for side, symbol in order_failures(t, image, lambda a, b: f[a] == b):
                 found.setdefault((x, side, symbol), "not matched at image")
         if kind in ("oplax", "strict"):
-            for side, symbol in order_failures(image, mapped):
+            for side, symbol in order_failures(image, t, lambda b, a: b == f[a]):
                 found.setdefault((x, side, symbol), "not matched at source")
     return MorphismReport(kind, tuple(Violation(*key, note) for key, note in found.items()))
 
@@ -192,8 +192,7 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
     name is new ("a+b'").
     """
     succ, out = _tables_of(m, PartialMealyMachine, "lax_identify")
-    m.check_state(x)
-    m.check_state(y)
+    start = m.check_state(x), m.check_state(y)
     states, inputs = m.states, m.inputs
     parent = list(range(len(states)))
     # per class root and input, a member that moves on that input, or -1
@@ -205,7 +204,7 @@ def lax_identify(m: PartialMealyMachine, x: str, y: str) -> Union[Quotient, Conf
         return s
 
     merges: list[MergeStep] = []
-    queue = deque([(m.index[x], m.index[y], ())])
+    queue = deque([(*start, ())])
     while queue:
         a, b, word = queue.popleft()
         ra, rb = find(a), find(b)

@@ -279,7 +279,7 @@ def test_a09_relation_laws():
                     if member(rel, t, s)
                 }
                 for extra in pairs_all:
-                    if extra in rel.pairs:
+                    if extra in rel:
                         continue
                     bigger = Relation.square(carrier, rel.pairs | {extra})
                     grown = {
@@ -289,11 +289,12 @@ def test_a09_relation_laws():
                         if member(bigger, t, s)
                     }
                     assert current <= grown
+                converse = rel.converse()
                 conv = {
                     (i, j)
                     for i, t in enumerate(structs)
                     for j, s in enumerate(structs)
-                    if member(rel.converse(), t, s)
+                    if member(converse, t, s)
                 }
                 assert conv == {(j, i) for i, j in current}
             eq = Relation.identity(carrier)

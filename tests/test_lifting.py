@@ -22,6 +22,7 @@ from ubisim import (
     MealySuccessors,
     PowSuccessors,
     Relation,
+    SaSuccessors,
     ValidationError,
     in_lifting,
     in_uncertain_lifting,
@@ -29,6 +30,8 @@ from ubisim import (
     map_structure,
     order_leq,
 )
+from ubisim.lifting import _check_args
+from ubisim.machines import order_failures
 
 
 def undef(inputs=("i",)):
@@ -136,8 +139,6 @@ def test_bottom_needs_partners_without_reflexivity():
 
 def test_sa_lifting_needs_outputs():
     # structures with an empty output part have no witness to relate them
-    from ubisim import SaSuccessors
-
     rel = Relation.identity(("u",))
     blocked = SaSuccessors.make(("i",), ("a",), {}, {})
     live = SaSuccessors.make(("i",), ("a",), {}, {"a": "u"})
@@ -282,6 +283,51 @@ def test_entry_product_matches_library():
             for s in structs:
                 assert in_lifting(rel, t, s) == ((t.entries, s.entries) in canon)
                 assert in_uncertain_lifting(rel, t, s) == ((t.entries, s.entries) in uncert)
+
+
+def test_the_first_stray_successor_is_named():
+    # successors outside the carrier on both sides: the first of t's is
+    # named, and s's only when t has none
+    square = Relation.square(("a",), set())
+    two = lambda x, y: MealySuccessors(("i", "j"), (("o", x), ("o", y)))  # noqa: E731
+    cases = [(two("x1", "x2"), two("y1", "y2"), "x1"), (two("a", "x2"), two("y1", "y2"), "x2"),
+             (two("a", "a"), two("a", "y2"), "y2"), (two("x2", "x1"), two("a", "a"), "x2")]
+    for t, s, stray in cases:
+        for member in (in_lifting, in_uncertain_lifting):
+            with pytest.raises(ContractError, match=f"^successor {stray!r} is outside the relation's carrier$"):
+                member(square, t, s)
+
+
+def _in_lifting_reference(rel, t, s):
+    """Canonical lifting membership as the order both ways: each side's
+    entries matched by the other's through rel, symbol by symbol; an
+    automaton's structures need an output on both sides."""
+    _check_args(rel, t, s)
+    if isinstance(t, SaSuccessors) and not (t.has_output and s.has_output):
+        return False
+    if isinstance(t, PowSuccessors):
+        return (all(any((x, y) in rel for y in s.elems) for x in t.elems)
+                and all(any((x, y) in rel for x in t.elems) for y in s.elems))
+    there = order_failures(t, s, lambda a, b: (a, b) in rel)
+    back = order_failures(s, t, lambda a, b: (b, a) in rel)
+    return next(there, None) is None and next(back, None) is None
+
+
+@pytest.mark.parametrize("kind", ["mealy", "sa", "pow"])
+def test_lifting_entry_by_entry_matches_the_two_way_order(kind):
+    carrier, sample = ("u", "v"), None
+    if kind == "mealy":
+        structs = all_mealy_successors(("i", "j"), ("a", "b"), carrier)
+    elif kind == "sa":
+        # with the structures that have no output, which the lifting refuses
+        blocked = [SaSuccessors(("i",), ("a", "b"), (e,), (None, None)) for e in (None, *carrier)]
+        structs = all_sa_successors(("i",), ("a", "b"), carrier) + blocked
+    else:
+        carrier, sample = ("u", "v", "w"), 20
+        structs = all_pow_successors(carrier)
+    for rel in relations_on(carrier, sample=sample):
+        members = lifted_set(in_lifting, rel, structs)
+        assert members == lifted_set(_in_lifting_reference, rel, structs), rel.pairs
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -17,6 +18,7 @@ from helpers import (
     random_strict_map,
     sa_pair,
 )
+from test_machines import KIND_SAMPLES
 from ubisim import (
     Conflict,
     ContractError,
@@ -31,11 +33,14 @@ from ubisim import (
     inverse_image,
     kernel,
     lax_identify,
+    map_structure,
     order_leq,
     relation_is_uncertain_bisimulation,
     restrict_along,
     uncertain_bisimilarity,
 )
+from ubisim.machines import order_failures
+from ubisim.morphisms import KINDS, MorphismReport
 
 
 def violating(report):
@@ -129,6 +134,42 @@ def test_strict_implies_lax_and_oplax():
         assert check_morphism(h, "strict").ok
         assert check_morphism(h, "lax").ok
         assert check_morphism(h, "oplax").ok
+
+
+def _check_morphism_reference(h, kind):
+    """The morphism check on mapped copies: each state's structure renamed
+    along the map, then compared with its image's with equality as the
+    link."""
+    found = {}
+    for x in h.source.states:
+        mapped = map_structure(h.source.successors(x), h.mapping)
+        image = h.target.successors(h(x))
+        if kind in ("lax", "strict"):
+            for side, symbol in order_failures(mapped, image):
+                found.setdefault((x, side, symbol), "not matched at image")
+        if kind in ("oplax", "strict"):
+            for side, symbol in order_failures(image, mapped):
+                found.setdefault((x, side, symbol), "not matched at source")
+    return MorphismReport(kind, tuple(Violation(*key, note) for key, note in found.items()))
+
+
+def test_morphism_checks_match_the_mapped_copies():
+    # random lax, oplax and strict maps, each beside a random map between
+    # the same machines; then every map between machines that declare
+    # their symbols in another order, both ways
+    rng = random.Random(23)
+    maps = []
+    for make in (random_lax_map, random_oplax_map, random_strict_map):
+        for _ in range(40):
+            h = make(rng)
+            maps += [h, StateMap(h.source, h.target, {s: rng.choice(h.target.states) for s in h.source.states})]
+    for a, b in (("mealy", "mealy-ba"), ("sa", "sa-yx")):
+        for src, dst in ((KIND_SAMPLES[a], KIND_SAMPLES[b]), (KIND_SAMPLES[b], KIND_SAMPLES[a])):
+            maps += [StateMap(src, dst, dict(zip(src.states, images)))
+                     for images in itertools.product(dst.states, repeat=len(src.states))]
+    reports = [(check_morphism(h, kind), _check_morphism_reference(h, kind)) for h in maps for kind in KINDS]
+    assert all(got == want for got, want in reports)
+    assert sum(not got.ok for got, _ in reports) > len(reports) // 4  # failing reports are compared too
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from helpers import (
     mealy_corpus,
     quadruple,
     random_oplax_map,
+    random_sa,
     sa_pair,
 )
 from ubisim import (
@@ -30,11 +31,15 @@ from ubisim import (
     ioco_compatibility,
     joint_simulator,
     lax_identify,
+    map_structure,
+    order_leq,
     synthesize_span_structure,
     uncertain_bisimilarity,
     witness_violations,
 )
+from ubisim.machines import _same_kind
 from ubisim.morphisms import Conflict
+from ubisim.simulation import STYLES
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +350,84 @@ def test_span_witness_across_permuted_inputs():
     assert witness_violations(om, src, dst) == []
     flipped = PartialMealyMachine("d", ("j", "i"), ("o",), ("w",), dst.delta)
     assert witness_violations(om, src, flipped) == []
+
+
+@pytest.mark.parametrize("kind", ["mealy", "sa"])
+def test_a_successor_that_is_no_pair_leaves_the_relation(kind):
+    # a successor that is not a pair of states is named as leaving the
+    # relation, and its structure's projections are not checked
+    if kind == "mealy":
+        src, dst, rel, _ = spans_of_u_into_w()
+        step = lambda ref: MealySuccessors(("i", "j"), (("o", ("u", "w")), ("o", ref)))  # noqa: E731
+    else:
+        src = SuspensionAutomaton("s", ("a",), ("x",), ("u",), {}, {("u", "x"): "u"})
+        dst = SuspensionAutomaton("d", ("a",), ("x",), ("w",), {}, {("w", "x"): "w"})
+        rel = Relation(("u",), ("w",), {("u", "w")})
+        step = lambda ref: SaSuccessors(("a",), ("x",), (ref,), (("u", "w"),))  # noqa: E731
+    for ref in (7, "q", "q10"):
+        problem = f"structure of ('u', 'w') leaves the relation at {ref}"
+        for style in STYLES:
+            assert witness_violations(SimulationWitness(rel, {("u", "w"): step(ref)}, style), src, dst) == [problem]
+        if kind == "mealy":
+            with pytest.raises(ContractError, match=re.escape(f"witness does not validate: {problem}")):
+                hj_to_openmap(SimulationWitness(rel, {("u", "w"): step(ref)}, "hj"), src, dst)
+
+
+def _witness_violations_reference(w, src, dst):
+    """`witness_violations` on projected copies: each pair's structure
+    renamed along each projection, then compared with the machines'
+    structures by `order_leq`."""
+    if w.structure is None:
+        return ["witness carries no span structure"]
+    problems = []
+    for pair in w.relation.ordered_pairs():
+        struct = w.structure.get(pair)
+        if struct is None:
+            problems.append(f"no structure for pair {pair}")
+            continue
+        csrc = src.successors(pair[0])
+        try:
+            _same_kind(struct, csrc, "witness_violations")
+        except ContractError:
+            problems.append(f"structure of {pair} is not a {type(csrc).__name__} over the machines' alphabets")
+            continue
+        for ref in struct.refs():
+            if ref not in w.relation:
+                problems.append(f"structure of {pair} leaves the relation at {ref}")
+        left, right = (map_structure(struct, {r: r[k] for r in struct.refs()}) for k in (0, 1))
+        if w.style == "openmap":
+            if not (order_leq(csrc, left) and order_leq(left, csrc)):
+                problems.append(f"left projection not strict at {pair}")
+        elif not order_leq(csrc, left):
+            problems.append(f"left projection not oplax at {pair}")
+        if not order_leq(right, dst.successors(pair[1])):
+            problems.append(f"right projection not lax at {pair}")
+    return problems
+
+
+def test_witness_violations_match_the_projected_copies():
+    # the joint simulators' witnesses on the first machines of the
+    # acceptance corpus and on random automata, each in both styles and
+    # with the other side's structure; then every corruption of the span
+    # from u into w
+    checked = []
+    rng = random.Random(33)
+    machines = [*mealy_corpus(30), *(random_sa(rng, rng.randint(2, 4)) for _ in range(20))]
+    for m in machines:
+        for x in m.states:
+            for y in m.states:
+                joint = joint_simulator(m, x, y)
+                if not isinstance(joint, JointSimulator):
+                    continue
+                lw, rw = joint.left_witness, joint.right_witness
+                for w in (lw, rw, SimulationWitness(lw.relation, rw.structure, "hj")):
+                    for style in STYLES:
+                        checked.append((SimulationWitness(w.relation, w.structure, style), m, joint.machine))
+    src, dst, rel, spans = spans_of_u_into_w()
+    checked += [(SimulationWitness(rel, span, style), src, dst) for span in spans.values() for style in STYLES]
+    results = [(witness_violations(*args), _witness_violations_reference(*args)) for args in checked]
+    assert all(got == want for got, want in results)
+    assert sum(bool(got) for got, _ in results) > len(results) // 4  # failing witnesses are compared too
 
 
 def test_hj_to_openmap_refuses_other_witnesses():
