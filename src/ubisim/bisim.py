@@ -25,10 +25,12 @@ the tests check these engines against references built on it, in
 
 The dead pairs are kept as rows, one Python int per state x whose bit y
 stands for the pair (x, y), and they propagate a row at a time: the bits
-a row gains reach the rows of its predecessors through one sum of
-precomputed predecessor rows per label.  A label is a partial function,
-so those rows are disjoint and their C-level `sum` is their OR, with no
-Python call per row (BENCH_pr30.json).  A step is then an integer
+a row gains reach the rows of its predecessors through one gather per
+label.  A label keeps a table of one byte per state for each block of
+255 states, and `bytes.translate` maps the table through the gained bits
+to a string of 0s and 1s that `int(..., 2)` reads as the row of states
+stepping into them: one C-level pass over n bytes per block, whatever
+the number of bits (BENCH_pr33.json).  A step is then an integer
 operation on an n-bit row, done in C a machine word at a time, where the
 pair-at-a-time propagation paid a Python loop iteration per pair.  The
 engines read each machine's dense successor arrays from its `tables()`,
@@ -40,13 +42,12 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cache, reduce
-from itertools import compress
 from operator import or_
 from typing import Optional, Sequence
 
 from .errors import Record, ValidationError
 from .machines import PartialMealyMachine, SuspensionAutomaton, _check_carriers, _tables_of
-from .relations import Relation, _bits
+from .relations import Relation
 
 
 class ApartnessWitness(Record):
@@ -63,17 +64,23 @@ class ApartnessWitness(Record):
             raise ValidationError("an apartness witness needs differing outputs")
 
 
-def _predecessors(n: int, succ: list[int]) -> tuple[list[list[int]], list[int], int]:
-    """Per state b, the states that step to b, as a list and as a row; and
-    the row of all states that step somewhere.  Each state steps to at most
-    one b, so the rows are disjoint, and their sum is their OR."""
+def _predecessors(n: int, succ: list[int]) -> tuple[list[list[int]], list[bytes], int]:
+    """Per state b, the states that step to b; per block of 255 states
+    from j = 0, 255, ..., the successor table; and the row of all states
+    that step somewhere.  A table holds succ[x] - j for each state x, from
+    the highest state down, and 255 where x steps nowhere or outside the
+    block, so that translating it through the block's bits of a row D and
+    reading the result in base 2 gives the states that step into D."""
     pred: list[list[int]] = [[] for _ in range(n)]
-    mask = [0] * n
     for x, d in enumerate(succ):
         if d >= 0:
             pred[d].append(x)
-            mask[d] |= 1 << x
-    return pred, mask, sum(mask)
+    down = succ[::-1]
+    tables = [bytes(d - j if j <= d < j + 255 else 255 for d in down) for j in range(0, n, 255)]
+    return pred, tables, sum(int(t.translate(_ALL), 2) for t in tables)
+
+
+_ALL = b"1" * 255 + b"0"  # every state of a block, none for the sentinel 255
 
 
 def _dead_pairs(
@@ -94,16 +101,13 @@ def _dead_pairs(
     The dead pairs are a least fixpoint, found by propagating each death
     backwards once, a row at a time.  When row a gains the bits D, the
     states a label leads to a are pred[a], and the states it leads into D
-    are the sum of its predecessor rows over the bits of D (or, when
-    fewer, over the bits outside D, taken out of the states the label is
-    defined on), so every x in pred[a] gains its new pairs in one
-    operation.  The label leads each state to at most one state, so its
-    predecessor rows are disjoint and their sum is their OR.  Only the
-    bits a row gains are queued, merged while the row waits; a single bit
-    needs no scan.  Each (pair, label) is reached once, and a run takes
-    O(n^2 * labels) operations on n-bit rows: a row has at most n deltas,
-    each one operation per predecessor and label, and its deltas scan at
-    most n bits per label in all.  Rows are first taken in depth-first
+    are one gather per block through its successor tables
+    (`_predecessors`), so every x in pred[a] gains its new pairs in one
+    operation per block.  Only the bits a row gains are queued, merged
+    while the row waits.  Each (pair, label) is reached once, and a run
+    takes O(n^2 * labels) operations on n-bit rows: a row has at most n
+    deltas, each one C-level pass over n bytes per label and block, and
+    one operation per predecessor.  Rows are first taken in depth-first
     post-order, so a row waits for the rows its states step to: on a
     one-input cycle, whose pairs die one bit per row at a time, each row
     is then taken about once rather than once per bit.
@@ -111,16 +115,18 @@ def _dead_pairs(
     For an existential label each state keeps the row of partners with
     which the label still leads to a live pair; a pair dies when no
     label's row keeps it, an OR over those labels' rows per step.  Beside
-    the n rows, the predecessor lists and rows take O(n * labels) memory.
+    the n rows, the predecessor lists and successor tables take
+    O(n * labels) memory per block.
     """
     full = (1 << n) - 1
-    labels = [(*_predecessors(n, succ), None) for succ in universal]
-    for succ in existential:
-        # the label's live row of x: the partners y with which it leads x
-        # to a live pair
-        pred, masks, defined = _predecessors(n, succ)
-        labels.append((pred, masks, defined, [defined if d >= 0 else 0 for d in succ]))
-    live = [rows for *_, rows in labels if rows is not None]
+    labels = []  # per label and block: pred, the block's start and table, and live rows
+    for k, succ in enumerate([*universal, *existential]):
+        pred, tables, defined = _predecessors(n, succ)
+        # an existential label's live row of x: the partners y with which
+        # it leads x to a live pair
+        rows = None if k < len(universal) else [defined if d >= 0 else 0 for d in succ]
+        labels += [(pred, j, table, rows) for j, table in zip(range(0, n, 255), tables)]
+    live = [rows for _, j, _, rows in labels if j == 0 and rows is not None]
     dead = list(seeds)
     if live:  # a pair kept live by no existential label is dead
         dead = [row | full ^ reduce(or_, kept) for row, kept in zip(dead, zip(*live))]
@@ -130,23 +136,13 @@ def _dead_pairs(
     while queue:
         a = queue.popleft()
         delta, pending[a] = pending[a], 0
-        # scan the bits of delta, or the fewer bits outside it
-        if not delta & (delta - 1):
-            b = delta.bit_length() - 1  # a single bit: no scan
-        else:
-            b = -1
-            outside = delta.bit_count() * 2 > n
-            flags = _bits(full ^ delta if outside else delta)
-        for pred, masks, defined, rows in labels:
+        flags = bin(delta)[:1:-1].encode()  # flags[y]: is bit y set
+        for pred, j, table, rows in labels:
             xs = pred[a]
             if not xs:
                 continue
-            if b >= 0:
-                hit = masks[b]
-            else:
-                hit = sum(compress(masks, flags))
-                if outside:
-                    hit ^= defined
+            # the block's bits of delta, and b"0" for the sentinel 255
+            hit = int(table.translate(flags[j : j + 255].ljust(256, b"0")), 2)
             for x in xs if hit else ():
                 if rows is None:  # universal: every pair led into delta dies
                     new = hit & ~dead[x]

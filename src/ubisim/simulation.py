@@ -98,6 +98,16 @@ class SimulationWitness(Record):
             vars(self)["structure"] = dict(self.structure)
 
 
+def _is_pair(r) -> bool:
+    """Whether a successor is a pair a relation can look up: a 2-tuple of
+    hashable members."""
+    try:
+        hash(r)
+    except TypeError:
+        return False
+    return isinstance(r, tuple) and len(r) == 2
+
+
 def witness_violations(w: SimulationWitness, src: Machine, dst: Machine) -> list[str]:
     """Validate a span witness against its declared style.  Returns a list
     of human-readable problems, empty when the witness checks out.  A
@@ -119,9 +129,9 @@ def witness_violations(w: SimulationWitness, src: Machine, dst: Machine) -> list
         except ContractError:
             problems.append(f"structure of {pair} is not a {type(csrc).__name__} over the machines' alphabets")
             continue
-        strays = [r for r in struct.refs() if not (isinstance(r, tuple) and len(r) == 2 and r in w.relation)]
+        strays = [r for r in struct.refs() if not (_is_pair(r) and r in w.relation)]
         problems += [f"structure of {pair} leaves the relation at {r}" for r in strays]
-        if not all(isinstance(r, tuple) and len(r) == 2 for r in strays):
+        if not all(map(_is_pair, strays)):
             continue  # a successor that is not a pair has no projections
         oplax = not any(order_failures(csrc, struct, lambda a, r: a == r[0]))
         if w.style == "openmap":  # strict: below and above

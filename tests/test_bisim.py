@@ -1,6 +1,5 @@
 import random
 from functools import reduce
-from itertools import compress
 from operator import or_
 
 import pytest
@@ -569,6 +568,41 @@ def test_engine_matches_rounds_on_sa():
         assert ioco_compatibility(a).pairs == rounds_fixpoint(a.states, ioco_violates(a))
 
 
+def block_edge_machines(rng, n):
+    """A partial Mealy machine and a suspension automaton of n random
+    states, in which state 0 steps to the last state on input a, and the
+    last state steps nowhere on input b (or a, in the automaton)."""
+    m = random_partial_mealy(rng, n, 2, 3, density=0.9)
+    a = random_sa(rng, n, outputs=("u", "v", "w"), in_density=0.5, out_density=0.1)
+    if not n:
+        return m, a
+    first, last = m.states[0], m.states[-1]
+    delta = {**m.delta, (first, "a"): ("x", last)}
+    delta.pop((last, "b"), None)
+    din = {**a.din, (first, "a"): last}
+    if n > 1:
+        din.pop((last, "a"), None)
+    return (
+        PartialMealyMachine(m.name, m.inputs, m.outputs, m.states, delta),
+        SuspensionAutomaton(a.name, a.inputs, a.outputs, a.states, din, a.dout),
+    )
+
+
+def test_engine_matches_rounds_at_the_block_edges():
+    # the engine gathers pre-images in blocks of 255 states, and a table
+    # entry of 255 stands for no successor in the block: partial machines
+    # on either side of one and two blocks, whose last state (255 or more
+    # from 256 states on) is reached, against the round-based fixpoint
+    rng = random.Random(255)
+    for n in (0, 1, 254, 255, 256, 510, 511):
+        m, a = block_edge_machines(rng, n)
+        for labels in (m.tables()[0], [*a.tables()[0], *a.tables()[1]]):
+            steps = [d for succ in labels for d in succ]
+            assert n == 0 or -1 in steps and n - 1 in steps
+        assert uncertain_bisimilarity(m).pairs == rounds_fixpoint(m.states, uncertain_violates(m)), n
+        assert ioco_compatibility(a).pairs == rounds_fixpoint(a.states, ioco_violates(a)), n
+
+
 def test_cycles_need_n_rounds():
     # the cycles above are the round engine's worst case: the full product,
     # then n - 1 rounds that each remove pairs
@@ -626,32 +660,56 @@ def kernel_labels():
         yield a.name, len(a.states), [*ins, *outs]
 
 
+def block_edge_labels():
+    """(name, n, [successor array]) of random partial labels at the edges
+    of the engine's blocks of 255 states, each with undefined successors
+    and with its last state reached."""
+    rng = random.Random(3032)
+    for n in (254, 255, 256, 510, 511):
+        succ = [rng.randrange(n) if rng.random() < 0.7 else -1 for _ in range(n)]
+        succ[0], succ[-1] = n - 1, -1
+        yield f"edge{n}", n, [succ]
+
+
+def decode(n, tables):
+    """The successor array that a label's block tables hold."""
+    succ = [-1] * n
+    for block, table in enumerate(tables):
+        assert len(table) == n
+        for k, entry in enumerate(table):
+            if entry != 255:
+                assert succ[n - 1 - k] == -1  # one block per successor
+                succ[n - 1 - k] = 255 * block + entry
+    return succ
+
+
 def test_predecessor_rows_are_disjoint():
-    # `_dead_pairs` ORs a label's predecessor rows by summing them, which is
-    # sound because each state steps to at most one state on a label: the
-    # rows share no bit, their sum is their OR, also over any subset of
-    # them, and each row holds exactly the states listed as predecessors
+    # `_dead_pairs` takes a label's pre-image of a row D as one gather per
+    # block of 255 states through the label's successor tables and sums
+    # them, which is sound because each state steps to at most one state
+    # on a label: the blocks' rows share no bit and their sum is their OR
     rng = random.Random(3031)
     seen_nowhere = seen_no_inputs = False
-    for name, n, labels in kernel_labels():
+    for name, n, labels in [*kernel_labels(), *block_edge_labels()]:
         seen_no_inputs |= not labels
         for succ in labels:
-            pred, mask, defined = ubisim.bisim._predecessors(n, succ)
-            union = 0
-            for row in mask:
-                assert not row & union, name
-                union |= row
-            assert sum(mask) == reduce(or_, mask, 0) == defined == union, name
-            assert defined == sum(1 << x for x, d in enumerate(succ) if d >= 0), name
+            pred, tables, defined = ubisim.bisim._predecessors(n, succ)
+            assert len(tables) == -(-n // 255) and decode(n, tables) == succ, name
             for b in range(n):
                 assert pred[b] == [x for x, d in enumerate(succ) if d == b], name
-                assert pred[b] == [x for x in range(n) if mask[b] >> x & 1], name
+            assert defined == sum(1 << x for x, d in enumerate(succ) if d >= 0), name
             for _ in range(5):
-                flags = [rng.random() < 0.5 for _ in range(n)]
-                assert sum(compress(mask, flags)) == reduce(or_, compress(mask, flags), 0), name
+                delta = rng.getrandbits(n)
+                flags = bin(delta)[:1:-1].encode()
+                rows = [
+                    int(table.translate(flags[j : j + 255].ljust(256, b"0")), 2)
+                    for j, table in zip(range(0, n, 255), tables)
+                ]
+                assert sum(rows) == reduce(or_, rows, 0), name
+                assert sum(rows) == sum(1 << x for x, d in enumerate(succ) if d >= 0 and delta >> d & 1), name
             if not defined:
                 seen_nowhere = True
-                assert pred == [[]] * n and mask == [0] * n, name
+                assert pred == [[]] * n, name
     assert seen_nowhere and seen_no_inputs
     # with no label the engine propagates nothing: the dead pairs are the seeds
     seeds = [rng.getrandbits(20) for _ in range(20)]

@@ -290,6 +290,7 @@ def spans_of_u_into_w():
         "empty": step({}),
         "outside": step({"i": ("o", ("u", "u"))}),
         "extra": step({"i": ("o", ("u", "w")), "j": ("o", ("u", "w"))}),
+        "unhashable": step({"i": ("o", (["u"], "w"))}),
     }
 
 
@@ -313,6 +314,9 @@ def test_witness_violations_name_each_problem():
         "left projection not strict at ('u', 'w')",
         "right projection not lax at ('u', 'w')",
     ]
+    # a two-element successor with an unhashable member is no pair either
+    for style in ("hj", "openmap"):
+        assert problems(spans["unhashable"], style) == ["structure of ('u', 'w') leaves the relation at (['u'], 'w')"]
 
 
 def test_witness_violations_name_a_structure_of_another_alphabet_or_kind():
@@ -392,9 +396,16 @@ def _witness_violations_reference(w, src, dst):
             problems.append(f"structure of {pair} is not a {type(csrc).__name__} over the machines' alphabets")
             continue
         for ref in struct.refs():
-            if ref not in w.relation:
+            try:
+                inside = ref in w.relation
+            except TypeError:  # a member is unhashable: no pair of states
+                inside = False
+            if not inside:
                 problems.append(f"structure of {pair} leaves the relation at {ref}")
-        left, right = (map_structure(struct, {r: r[k] for r in struct.refs()}) for k in (0, 1))
+        try:
+            left, right = (map_structure(struct, {r: r[k] for r in struct.refs()}) for k in (0, 1))
+        except TypeError:  # the same: no projections
+            continue
         if w.style == "openmap":
             if not (order_leq(csrc, left) and order_leq(left, csrc)):
                 problems.append(f"left projection not strict at {pair}")
